@@ -40,7 +40,7 @@ FidelityResult measure(const MacroConfig& cfg, int trials = 48) {
   for (int t = 0; t < trials; ++t) {
     for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
     for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+    macro.mvm(w.data(), m, k, x.data(), y.data(), rng(), stats);
     for (int j = 0; j < m; ++j) {
       std::int64_t ref = 0;
       for (int i = 0; i < k; ++i) {

@@ -14,6 +14,7 @@
 // Before timing, each configuration asserts the packed outputs and run
 // stats are bit-identical to the legacy path under the same seed — the
 // bench refuses to report a speedup for a kernel that changed results.
+// Every row records the host's core count (`host_cores`).
 //
 //   build/bench_macro_mvm [--seconds=S]   (default 0.4s per cell)
 
@@ -22,6 +23,7 @@
 #include <cstring>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/macro_engine.hpp"
@@ -66,6 +68,13 @@ MacroConfig make_config(const Geometry& geom, bool noise_free) {
   return cfg;
 }
 
+/// Noise keys treating every column as a pixel of one image.
+NoiseKeys one_image_keys(std::uint64_t seed) {
+  NoiseKeys keys;
+  keys.images.push_back(image_noise_key(seed, 0));
+  return keys;
+}
+
 /// True when outputs AND every modeled stat agree exactly.
 bool bit_identical(const std::vector<std::int32_t>& ya,
                    const std::vector<std::int32_t>& yb,
@@ -85,10 +94,10 @@ Measurement run_path(const MacroMvmEngine& engine, int m, int k, int p,
                      const std::vector<std::int8_t>& w,
                      const std::vector<std::uint8_t>& x, double min_seconds) {
   std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
-  Rng rng(11);
+  NoiseKeys keys = one_image_keys(11);
   MacroRunStats stats;
   MvmScratch scratch;
-  MvmSession session{&rng, &stats, &scratch};
+  MvmSession session{&keys, &stats, &scratch};
   engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);  // warm
 
   Measurement out;
@@ -130,6 +139,7 @@ int main(int argc, char** argv) {
       {"analog_noise_free", MacroMvmEngine::Mode::kAnalog, true},
       {"exact_cost", MacroMvmEngine::Mode::kExactCost, false},
   };
+  const unsigned host_cores = std::thread::hardware_concurrency();
   const int m = 128;  // output rows (YOLO-scale conv channel tile)
   const int p = 16;   // im2col columns per engine call
 
@@ -153,11 +163,11 @@ int main(int argc, char** argv) {
       {
         std::vector<std::int32_t> ya(static_cast<std::size_t>(m) * p);
         std::vector<std::int32_t> yb(static_cast<std::size_t>(m) * p);
-        Rng ra(7);
-        Rng rb(7);
+        NoiseKeys ka = one_image_keys(7);
+        NoiseKeys kb = one_image_keys(7);
         MacroRunStats sa, sb;
         MvmScratch sca, scb;
-        MvmSession sea{&ra, &sa, &sca}, seb{&rb, &sb, &scb};
+        MvmSession sea{&ka, &sa, &sca}, seb{&kb, &sb, &scb};
         legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
         packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
         if (!bit_identical(ya, yb, sa, sb)) {
@@ -185,17 +195,19 @@ int main(int argc, char** argv) {
       std::printf(
           "{\"bench\":\"macro_mvm\",\"path\":\"legacy\",\"variant\":\"%s\","
           "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
-          "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f}\n",
+          "\"k\":%d,\"p\":%d,\"host_cores\":%u,\"ns_per_mac\":%.4f,"
+          "\"columns_per_s\":%.1f}\n",
           variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
-          p, legacy_ns_per_mac, legacy_cols_s);
+          p, host_cores, legacy_ns_per_mac, legacy_cols_s);
       std::printf(
           "{\"bench\":\"macro_mvm\",\"path\":\"packed\",\"variant\":\"%s\","
           "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
-          "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f,"
-          "\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
+          "\"k\":%d,\"p\":%d,\"host_cores\":%u,\"ns_per_mac\":%.4f,"
+          "\"columns_per_s\":%.1f,\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
           "\"speedup_vs_legacy\":%.2f}\n",
           variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
-          p, packed_ns_per_mac, packed_cols_s, pm.pack_ms, pm.packed_bytes,
+          p, host_cores, packed_ns_per_mac, packed_cols_s, pm.pack_ms,
+          pm.packed_bytes,
           packed_cols_s / legacy_cols_s);
       std::fflush(stdout);
     }

@@ -52,7 +52,7 @@ void BM_RomMacroMvm(benchmark::State& state) {
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
   MacroRunStats stats;
   for (auto _ : state) {
-    macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+    macro.mvm(w.data(), m, k, x.data(), y.data(), rng(), stats);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["modeled_TOPS/W"] =

@@ -54,10 +54,9 @@ CimArrayModel::CimArrayModel(const BitlineParams& bitline, AdcParams adc,
       static_cast<double>(lsb_count_steps(group_size, adc_.params().bits));
 }
 
-// NOTE: CimMacro::mvm_packed inlines this chain (constants from
-// read_chain_consts() below); any change here must be mirrored there.
-// The packed-vs-legacy bit-identity suite (`ctest -L macro`) fails loudly
-// on drift.
+// NOTE: CimMacro samples this chain from a per-count code table built
+// from read_chain_consts() below; the statistical gate (`ctest -L macro`)
+// fails loudly when the two drift apart.
 double CimArrayModel::read_count(int exact_count, int active_rows, Rng& rng,
                                  ArrayReadStats& stats) const {
   YOLOC_CHECK(exact_count >= 0 && exact_count <= active_rows,
@@ -77,13 +76,6 @@ double CimArrayModel::read_count(int exact_count, int active_rows, Rng& rng,
   return code * counts_per_code_;
 }
 
-double CimArrayModel::read_count(int exact_count, int active_rows, Rng& rng,
-                                 ArrayReadStats& stats,
-                                 const AdcDrift& drift) const {
-  return read_count(exact_count, active_rows, rng, stats) * drift.gain +
-         drift.offset_counts;
-}
-
 double CimArrayModel::read_count_ideal(int exact_count,
                                        ArrayReadStats& stats) const {
   const double v = bitline_.voltage_for_count(exact_count);
@@ -101,18 +93,11 @@ CimArrayModel::ReadChainConsts CimArrayModel::read_chain_consts() const {
   consts.sigma_cell = bl.sigma_cell;
   consts.noise_sigma_v = adc.noise_sigma_v;
   consts.delta_v = bitline_.delta_v_per_cell();
-  consts.v_precharge = bl.v_precharge;
-  consts.v_floor = bl.v_floor;
-  consts.v_lo = adc.v_lo;
-  consts.v_hi = adc.v_hi;
+  consts.bl_range = bl.v_precharge - bl.v_floor;
   consts.lsb = adc_.lsb_voltage();
   consts.levels = adc_.code_count();
   consts.counts_per_code = counts_per_code_;
   consts.adc_energy_pj = adc.energy_pj;
-  // precharge_energy_pj computes ((c_bl * v_pre) * dv) * 1e-3; hoisting
-  // the (c_bl * v_pre) product preserves the rounding order exactly.
-  consts.cv = bl.c_bl_ff * bl.v_precharge;
-  consts.bl_range = bl.v_precharge - bl.v_floor;
   return consts;
 }
 

@@ -49,8 +49,8 @@ struct ArrayReadStats {
 
 /// Per-column ADC transfer drift (fault injection, macro/fault_model.*):
 /// the drifted count estimate is estimate * gain + offset_counts,
-/// applied AFTER the canonical read chain so the underlying conversion
-/// (and its stats/energy accounting) is untouched. Identity by default.
+/// applied AFTER the read chain so the underlying conversion (and its
+/// stats/energy accounting) is untouched. Identity by default.
 struct AdcDrift {
   double gain = 1.0;
   double offset_counts = 0.0;
@@ -69,14 +69,6 @@ class CimArrayModel {
   [[nodiscard]] double read_count(int exact_count, int active_rows, Rng& rng,
                                   ArrayReadStats& stats) const;
 
-  /// read_count() with a drifted ADC transfer applied to the estimate —
-  /// the fault-injection overload. Same draws, same stats; only the
-  /// returned count estimate is transformed. Kept as a separate overload
-  /// so the fault-off call path is literally the function above.
-  [[nodiscard]] double read_count(int exact_count, int active_rows, Rng& rng,
-                                  ArrayReadStats& stats,
-                                  const AdcDrift& drift) const;
-
   /// Ideal (noise-free, but still ADC-quantized) variant.
   [[nodiscard]] double read_count_ideal(int exact_count,
                                         ArrayReadStats& stats) const;
@@ -86,25 +78,20 @@ class CimArrayModel {
   /// Charge digital accumulation energy for `ops` shift-adds.
   void charge_shift_adds(std::uint64_t ops, ArrayReadStats& stats) const;
 
-  /// Constants of the read_count() chain, hoisted for inlined fast
-  /// paths (CimMacro::mvm_packed). Derived HERE, next to read_count, so
-  /// a physics change to the chain cannot miss them — any drift between
-  /// the two is pinned by the packed-vs-legacy bit-identity suite
-  /// (`ctest -L macro`).
+  /// Constants of the read_count() chain, from which CimMacro tabulates
+  /// the per-count code distribution (macro/read_code_table.hpp).
+  /// Derived HERE, next to read_count, so a physics change to the chain
+  /// cannot miss them; the statistical gate in tests/test_macro.cpp
+  /// (`ctest -L macro`) pins the table against read_count.
   struct ReadChainConsts {
     double sigma_cell = 0.0;     // bitline cell mismatch (1 sigma)
     double noise_sigma_v = 0.0;  // ADC input-referred noise
     double delta_v = 0.0;        // per-cell bitline discharge [V]
-    double v_precharge = 0.0;
-    double v_floor = 0.0;
-    double v_lo = 0.0;  // ADC full-scale low (post group matching)
-    double v_hi = 0.0;
+    double bl_range = 0.0;       // v_precharge - v_floor
     double lsb = 0.0;
     int levels = 0;
     double counts_per_code = 0.0;
     double adc_energy_pj = 0.0;
-    double cv = 0.0;        // c_bl_ff * v_precharge (legacy product order)
-    double bl_range = 0.0;  // v_precharge - v_floor
   };
   [[nodiscard]] ReadChainConsts read_chain_consts() const;
 

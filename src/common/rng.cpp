@@ -7,7 +7,7 @@
 namespace yoloc {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
+std::uint64_t splitmix_next(std::uint64_t& x) {
   x += 0x9E3779B97F4A7C15ull;
   std::uint64_t z = x;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -24,7 +24,7 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 Rng::Rng(std::uint64_t seed) {
   // Seed the full 256-bit state from splitmix64 per the xoshiro authors'
   // recommendation; guarantees a non-zero state for any seed.
-  for (auto& word : state_) word = splitmix64(seed);
+  for (auto& word : state_) word = splitmix_next(seed);
 }
 
 Rng::result_type Rng::operator()() {

@@ -6,6 +6,10 @@
 // Rng so that experiments are bit-reproducible across runs. The engine is
 // xoshiro256** (public-domain algorithm by Blackman & Vigna), which is
 // fast, has 256 bits of state and passes BigCrush.
+//
+// Counter-keyed draws (fault patterns, analog read noise) use no stream
+// at all: a key is hash-chained from the draw's coordinates and mixed
+// once, so any draw can be made in any order on any thread.
 
 #include <array>
 #include <cstdint>
@@ -13,6 +17,20 @@
 #include <vector>
 
 namespace yoloc {
+
+/// SplitMix64 output function (Steele, Lea & Flood): a bijective 64-bit
+/// mix of `x` plus the golden-ratio increment.
+inline std::uint64_t hash64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Fold coordinate `v` into hash key `h`.
+inline std::uint64_t hash_chain(std::uint64_t h, std::uint64_t v) {
+  return hash64(h ^ v);
+}
 
 /// Counter-free deterministic PRNG. Satisfies UniformRandomBitGenerator.
 class Rng {

@@ -6,6 +6,14 @@
 
 namespace yoloc {
 
+std::uint64_t mvm_noise_key(std::uint64_t image_key, MacroKind kind,
+                            std::uint64_t layer, int tile, int pixel) {
+  std::uint64_t h = hash_chain(image_key, static_cast<std::uint64_t>(kind));
+  h = hash_chain(h, layer);
+  h = hash_chain(h, static_cast<std::uint64_t>(tile));
+  return hash_chain(h, static_cast<std::uint64_t>(pixel));
+}
+
 MacroMvmEngine::MacroMvmEngine(const CimMacro& macro, Mode mode,
                                const PackedWeightsCache* packed_cache)
     : macro_(&macro), mode_(mode), packed_cache_(packed_cache) {}
@@ -20,10 +28,31 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
   YOLOC_CHECK(m > 0 && k > 0 && p > 0, "macro engine: bad MVM shape");
   YOLOC_CHECK(session.stats != nullptr,
               "macro engine: session must carry run stats");
-  YOLOC_CHECK(mode_ != Mode::kAnalog || session.rng != nullptr,
-              "macro engine: analog mode needs a session noise rng");
+  YOLOC_CHECK(mode_ != Mode::kAnalog || session.noise != nullptr,
+              "macro engine: analog mode needs session noise keys");
   MacroRunStats& stats = *session.stats;
   const int rows = macro_->config().geometry.rows;
+
+  // Columns are image-major: column col belongs to image col / pixels
+  // and is that image's output pixel col % pixels.
+  const std::uint64_t* image_keys = nullptr;
+  int pixels = p;
+  std::uint64_t layer = 0;
+  if (mode_ == Mode::kAnalog) {
+    NoiseKeys& noise = *session.noise;
+    const int images = static_cast<int>(noise.images.size());
+    YOLOC_CHECK(images >= 1 && p % images == 0,
+                "macro engine: MVM columns do not split over the session's "
+                "images");
+    image_keys = noise.images.data();
+    pixels = p / images;
+    layer = noise.calls++;
+  }
+  const MacroKind kind = macro_->config().kind;
+  const auto noise_key = [&](int tile, int col) {
+    return mvm_noise_key(image_keys[col / pixels], kind, layer, tile,
+                         col % pixels);
+  };
 
   for (std::size_t i = 0; i < static_cast<std::size_t>(m) * p; ++i) y[i] = 0;
 
@@ -39,9 +68,7 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
 
   if (packed_cache_ != nullptr) {
     // Fast path: weight bit-planes were expanded once at deploy time (or
-    // on first touch); per column only the activation vector moves. The
-    // (k-tile, column) loop order matches the legacy path below so the
-    // analog RNG draw sequence is identical.
+    // on first touch); per column only the activation vector moves.
     // Exact-cost mode never reads the bit-planes (it MACs the raw int8
     // rows), so it requests the boundaries-only packing.
     const PackedRomWeights& packed = packed_cache_->get_or_pack(
@@ -56,7 +83,7 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
         }
         if (mode_ == Mode::kAnalog) {
           macro_->mvm_packed(packed, tile, x_chunk.data(), y_partial.data(),
-                             *session.rng, stats);
+                             noise_key(tile, col), stats);
         } else {
           macro_->mvm_packed_exact_cost(packed, tile, w, x_chunk.data(),
                                         y_partial.data(), stats);
@@ -74,7 +101,7 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
   // tile the reduction dimension over subarray row capacity; partial sums
   // accumulate digitally (the shift-add backend).
   std::vector<std::int8_t>& w_chunk = scratch.w_chunk;
-  for (int k0 = 0; k0 < k; k0 += rows) {
+  for (int k0 = 0, tile = 0; k0 < k; k0 += rows, ++tile) {
     const int k_size = std::min(rows, k - k0);
     w_chunk.resize(static_cast<std::size_t>(m) * k_size);
     for (int j = 0; j < m; ++j) {
@@ -89,7 +116,7 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
       }
       if (mode_ == Mode::kAnalog) {
         macro_->mvm(w_chunk.data(), m, k_size, x_chunk.data(),
-                    y_partial.data(), *session.rng, stats);
+                    y_partial.data(), noise_key(tile, col), stats);
       } else {
         macro_->mvm_exact_cost(w_chunk.data(), m, k_size, x_chunk.data(),
                                y_partial.data(), stats);

@@ -6,8 +6,8 @@
 //   * DeploymentPlan    — immutable deploy-time product (BN folding, int8
 //                         quantization with ROM/SRAM engine selection,
 //                         calibrated activation ranges),
-//   * ExecutionContext  — the facade's single serving context (noise RNG
-//                         streams, run statistics, scratch buffers).
+//   * ExecutionContext  — the facade's single serving context (noise
+//                         keys, run statistics, scratch buffers).
 // One framework == one plan + one context, preserving the original
 // single-stream semantics (stats accumulate across infer() calls until
 // reset_stats()). For parallel traffic, share framework.plan() across

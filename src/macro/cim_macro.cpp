@@ -7,6 +7,20 @@
 
 #include "common/check.hpp"
 
+// Every ON-cell count is a popcount. Portable x86-64 builds lower
+// std::popcount to a libgcc call; a POPCNT clone of the packed kernel,
+// picked at load time on CPUs that have the instruction, makes each one
+// instruction (same results, about twice the kernel throughput).
+// ThreadSanitizer builds go without: the loader runs the clone resolver
+// before the TSAN runtime is up, which crashes at startup.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__POPCNT__) && \
+    !defined(__SANITIZE_THREAD__)
+#define YOLOC_POPCNT_CLONES \
+  __attribute__((target_clones("popcnt", "default")))
+#else
+#define YOLOC_POPCNT_CLONES
+#endif
+
 namespace yoloc {
 
 void MacroRunStats::accumulate(const MacroRunStats& other) {
@@ -19,7 +33,8 @@ void MacroRunStats::accumulate(const MacroRunStats& other) {
 CimMacro::CimMacro(MacroConfig config)
     : config_(std::move(config)),
       array_(config_.bitline, config_.adc, config_.energy,
-             config_.geometry.rows_per_activation) {
+             config_.geometry.rows_per_activation),
+      table_(array_) {
   YOLOC_CHECK(config_.geometry.rows <= 128,
               "cim macro: row masks support up to 128 rows");
   // The bit-serial paths index fixed RowMask xbits[8] / wbits[8] arrays;
@@ -35,34 +50,28 @@ CimMacro::CimMacro(MacroConfig config)
                   0,
               "cim macro: rows must divide evenly into activation groups");
 
-  // Analog read chain constants for the packed path, derived by
-  // CimArrayModel next to the canonical read_count(); sqrt_count_
-  // pre-tabulates sqrt of the integer ON-cell count.
-  read_ = array_.read_chain_consts();
-  for (int c = 0; c <= 128; ++c) {
-    sqrt_count_[static_cast<std::size_t>(c)] =
-        std::sqrt(static_cast<double>(c));
-  }
-
-  // Noise-free transfer tables: with both noise sources at zero every
-  // draw in read_count is scaled by 0.0, so the estimate collapses to a
-  // pure function of the exact count. Tabulating it through the real
-  // bitline/ADC models keeps the table bit-identical to the legacy path.
-  noise_free_ = read_.sigma_cell == 0.0 && read_.noise_sigma_v == 0.0;
   if (config_.faults.any()) {
     faults_ = std::make_shared<FaultModel>(
         config_.faults, static_cast<std::uint64_t>(config_.kind),
         config_.geometry.rows);
   }
-  for (int c = 0; c <= 128; ++c) {
-    const double v =
-        array_.bitline().voltage_for_count(static_cast<double>(c));
-    const int code = array_.adc().quantize_ideal(v);
-    ideal_estimate_[static_cast<std::size_t>(c)] =
-        code * read_.counts_per_code;
-    ideal_precharge_pj_[static_cast<std::size_t>(c)] =
-        array_.bitline().precharge_energy_pj(static_cast<double>(c));
-  }
+  const CimArrayModel::ReadChainConsts rc = array_.read_chain_consts();
+  counts_per_code_ = rc.counts_per_code;
+  adc_energy_pj_ = rc.adc_energy_pj;
+  // Precharge charge is linear in the effective count (a full group
+  // stays above the bitline floor, see CimArrayModel) and the count's
+  // noise is zero-mean, so a read's expected charge is that of its exact
+  // count; the clamps move it by less than 1e-20 at the ROM and SRAM
+  // defaults.
+  precharge_pj_per_cell_ = array_.bitline().precharge_energy_pj(1.0);
+}
+
+void CimMacro::charge_reads(std::uint64_t reads, std::uint64_t cells,
+                            MacroRunStats& stats) const {
+  stats.array.adc_conversions += reads;
+  stats.array.adc_energy_pj += static_cast<double>(reads) * adc_energy_pj_;
+  stats.array.precharge_energy_pj +=
+      static_cast<double>(cells) * precharge_pj_per_cell_;
 }
 
 double CimMacro::single_pass_latency_ns() const {
@@ -105,7 +114,8 @@ void CimMacro::charge_op_costs(int m, int k, std::uint64_t pulses,
 }
 
 void CimMacro::mvm(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-                   std::int32_t* y, Rng& rng, MacroRunStats& stats) const {
+                   std::int32_t* y, std::uint64_t noise_key,
+                   MacroRunStats& stats) const {
   const auto& g = config_.geometry;
   YOLOC_CHECK(k >= 1 && k <= g.rows, "cim macro: k exceeds subarray rows");
   YOLOC_CHECK(m >= 1, "cim macro: m >= 1");
@@ -127,6 +137,8 @@ void CimMacro::mvm(const std::int8_t* w, int m, int k, const std::uint8_t* x,
   const bool transients = faults != nullptr && faults->has_transients();
 
   const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
+  std::uint64_t read = 0;
+  std::uint64_t cells = 0;  // ON cells discharged, for the precharge energy
   for (int j = 0; j < m; ++j) {
     // Weight bit-planes for output j: ROM columns store the raw
     // two's-complement bit pattern.
@@ -160,20 +172,18 @@ void CimMacro::mvm(const std::int8_t* w, int m, int k, const std::uint8_t* x,
           const int lo = grp * g.rows_per_activation;
           const int hi = std::min(k, lo + g.rows_per_activation);
           const int exact = wb.count_and(xbits[t], lo, hi);
-          // The drift overload multiplies/offsets AFTER the canonical
-          // chain; taking the base overload when fault-off keeps that
-          // path's instruction stream (and FP rounding) untouched.
-          const double est =
-              faults != nullptr
-                  ? array_.read_count(exact, hi - lo, rng, stats.array,
-                                      drift)
-                  : array_.read_count(exact, hi - lo, rng, stats.array);
+          cells += static_cast<std::uint64_t>(exact);
+          double est = read_estimate(exact, noise_key, read++);
+          if (faults != nullptr) {
+            est = est * drift.gain + drift.offset_counts;
+          }
           acc += est * bit_weight * static_cast<double>(1 << t);
         }
       }
     }
     y[j] = static_cast<std::int32_t>(std::llround(acc));
   }
+  charge_reads(read, cells, stats);
   charge_op_costs(m, k, x, stats);
 }
 
@@ -217,8 +227,10 @@ void CimMacro::check_packed_tile(const PackedRomWeights& packed,
               "cim macro: packed tile index out of range");
 }
 
+YOLOC_POPCNT_CLONES
 void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
-                          const std::uint8_t* x, std::int32_t* y, Rng& rng,
+                          const std::uint8_t* x, std::int32_t* y,
+                          std::uint64_t noise_key,
                           MacroRunStats& stats) const {
   check_packed_tile(packed, tile_index);
   YOLOC_CHECK(packed.has_planes(),
@@ -251,7 +263,6 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
 
   const double* bcw = packed.bit_cycle_weight();
   const RowMask* gmasks = tile.group_masks.data();
-  const CimArrayModel::ReadChainConsts& rc = read_;
 
   // Fault overlay — same local-coordinate pattern as the legacy path
   // (the packed tile's rows ARE the legacy chunk's rows), so outputs and
@@ -260,110 +271,42 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
       faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
   const bool transients = faults != nullptr && faults->has_transients();
 
-  // Energy accumulators chained from the current stats values so the
-  // add sequence (and therefore the floating-point rounding) is
-  // identical to the legacy per-read += updates.
-  std::uint64_t conversions = stats.array.adc_conversions;
-  double adc_energy = stats.array.adc_energy_pj;
-  double precharge_energy = stats.array.precharge_energy_pj;
-
-  if (noise_free_) {
-    // Draw-free fast path: every noise term is scaled by 0.0 in the
-    // legacy chain, so the ADC estimate is a pure table lookup on the
-    // exact count. (The session RNG is intentionally not advanced.)
-    for (int j = 0; j < m; ++j) {
-      const RowMask* wrow =
-          tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
-      double acc = 0.0;
-      for (int b = 0; b < weight_bits; ++b) {
-        RowMask wb = wrow[b];
-        AdcDrift drift;
-        if (faults != nullptr) {
-          const FaultModel::PlaneFaults pf = faults->plane(j, b);
-          wb.or_with(pf.force_one);
-          wb.and_not(pf.force_zero);
-          drift = faults->adc_drift(j, b);
-        }
-        for (int t = 0; t < input_bits; ++t) {
-          RowMask wbt = wb;
-          if (transients) wbt.xor_with(faults->transient_flips(j, b, t));
-          const RowMask xt = xbits[t];
-          const double cycle_weight =
-              bcw[static_cast<std::size_t>(b) * input_bits + t];
-          for (int grp = 0; grp < groups; ++grp) {
-            const int exact = wbt.count_and3(xt, gmasks[grp]);
-            double est = ideal_estimate_[static_cast<std::size_t>(exact)];
-            if (faults != nullptr) {
-              est = est * drift.gain + drift.offset_counts;
-            }
-            acc += est * cycle_weight;
-            ++conversions;
-            adc_energy += rc.adc_energy_pj;
-            precharge_energy +=
-                ideal_precharge_pj_[static_cast<std::size_t>(exact)];
+  std::uint64_t read = 0;
+  std::uint64_t cells = 0;
+  for (int j = 0; j < m; ++j) {
+    const RowMask* wrow =
+        tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
+    double acc = 0.0;
+    for (int b = 0; b < weight_bits; ++b) {
+      RowMask wb = wrow[b];
+      AdcDrift drift;
+      if (faults != nullptr) {
+        const FaultModel::PlaneFaults pf = faults->plane(j, b);
+        wb.or_with(pf.force_one);
+        wb.and_not(pf.force_zero);
+        drift = faults->adc_drift(j, b);
+      }
+      for (int t = 0; t < input_bits; ++t) {
+        RowMask wbt = wb;
+        if (transients) wbt.xor_with(faults->transient_flips(j, b, t));
+        const RowMask xt = xbits[t];
+        const double cycle_weight =
+            bcw[static_cast<std::size_t>(b) * input_bits + t];
+        for (int grp = 0; grp < groups; ++grp) {
+          const int exact = wbt.count_and3(xt, gmasks[grp]);
+          cells += static_cast<std::uint64_t>(exact);
+          double est = read_estimate(exact, noise_key, read++);
+          if (faults != nullptr) {
+            est = est * drift.gain + drift.offset_counts;
           }
+          acc += est * cycle_weight;
         }
       }
-      y[j] = static_cast<std::int32_t>(std::llround(acc));
     }
-  } else {
-    for (int j = 0; j < m; ++j) {
-      const RowMask* wrow =
-          tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
-      double acc = 0.0;
-      for (int b = 0; b < weight_bits; ++b) {
-        RowMask wb = wrow[b];
-        AdcDrift drift;
-        if (faults != nullptr) {
-          const FaultModel::PlaneFaults pf = faults->plane(j, b);
-          wb.or_with(pf.force_one);
-          wb.and_not(pf.force_zero);
-          drift = faults->adc_drift(j, b);
-        }
-        for (int t = 0; t < input_bits; ++t) {
-          RowMask wbt = wb;
-          if (transients) wbt.xor_with(faults->transient_flips(j, b, t));
-          const RowMask xt = xbits[t];
-          const double cycle_weight =
-              bcw[static_cast<std::size_t>(b) * input_bits + t];
-          for (int grp = 0; grp < groups; ++grp) {
-            const int exact = wbt.count_and3(xt, gmasks[grp]);
-            // Inlined CimArrayModel::read_count — identical operations
-            // in identical order, same RNG draws.
-            double effective = exact;
-            if (rc.sigma_cell > 0.0 && exact > 0) {
-              effective += rng.normal(
-                  0.0, rc.sigma_cell *
-                           sqrt_count_[static_cast<std::size_t>(exact)]);
-              if (effective < 0.0) effective = 0.0;
-            }
-            const double v =
-                std::max(rc.v_precharge - effective * rc.delta_v, rc.v_floor);
-            const double noisy = v + rng.normal(0.0, rc.noise_sigma_v);
-            const double clamped = std::clamp(noisy, rc.v_lo, rc.v_hi);
-            int code =
-                static_cast<int>(std::lround((rc.v_hi - clamped) / rc.lsb));
-            code = std::clamp(code, 0, rc.levels - 1);
-            double est = code * rc.counts_per_code;
-            if (faults != nullptr) {
-              est = est * drift.gain + drift.offset_counts;
-            }
-            acc += est * cycle_weight;
-            ++conversions;
-            adc_energy += rc.adc_energy_pj;
-            const double dv =
-                std::min(effective * rc.delta_v, rc.bl_range);
-            precharge_energy += rc.cv * dv * 1e-3;
-          }
-        }
-      }
-      y[j] = static_cast<std::int32_t>(std::llround(acc));
-    }
+    y[j] = static_cast<std::int32_t>(std::llround(acc));
   }
 
-  stats.array.adc_conversions = conversions;
-  stats.array.adc_energy_pj = adc_energy;
-  stats.array.precharge_energy_pj = precharge_energy;
+  charge_reads(read, cells, stats);
   charge_op_costs(m, k, pulses, stats);
 }
 

@@ -21,17 +21,19 @@
 //   * mvm / mvm_exact_cost: the legacy per-call path that derives weight
 //     bit-planes from the raw int8 buffer on every call.
 //   * mvm_packed / mvm_packed_exact_cost: the deploy-time fast path over
-//     a PackedRomWeights tile. Bit-identical to the legacy path — same
-//     outputs, same stats, and (in analog mode) the same RNG draw order
-//     (j, b, t, grp) — just without re-deriving what ROM weights cannot
-//     change. When the config is noise-free (sigma_cell == 0 AND
-//     adc.noise_sigma_v == 0) the packed analog path additionally skips
-//     the zero-scaled noise draws and reads the ADC transfer from a
-//     precomputed count -> estimate table; outputs and stats stay
-//     bit-identical (every skipped draw was multiplied by 0), but the
-//     session RNG is no longer advanced by such calls.
+//     a PackedRomWeights tile, without re-deriving what ROM weights
+//     cannot change. Bit-identical to the legacy path: same outputs and
+//     same stats.
+//
+// Analog noise is counter-keyed, not streamed. Each ADC read draws one
+// uniform, hash64(noise_key + read), where `read` is the read's index
+// ((j * weight_bits + b) * input_bits + t) * groups + grp within the
+// call, and maps it through the per-count code table (ReadCodeTable),
+// which holds the read chain's exact code distribution. The draw depends
+// only on the read's coordinates, so a kernel may visit reads in any
+// order. Precharge energy is charged at its expected value for the
+// exact count, so modeled energy does not depend on the noise.
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -39,6 +41,7 @@
 #include "macro/fault_model.hpp"
 #include "macro/macro_config.hpp"
 #include "macro/packed_weights.hpp"
+#include "macro/read_code_table.hpp"
 
 namespace yoloc {
 
@@ -58,9 +61,11 @@ class CimMacro {
 
   /// Analog-modeled MVM: y (int32, m entries) ~= W (m x k, int8) * x
   /// (k entries, uint8). k must fit the subarray rows. Accumulates
-  /// activity into stats. Noise/quantization follow the circuit model.
+  /// activity into stats. Noise/quantization follow the circuit model;
+  /// `noise_key` keys this call's reads (see the header comment).
   void mvm(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-           std::int32_t* y, Rng& rng, MacroRunStats& stats) const;
+           std::int32_t* y, std::uint64_t noise_key,
+           MacroRunStats& stats) const;
 
   /// Bit-exact variant that still pays the modeled energy/latency —
   /// used to isolate cost modeling from accuracy modeling.
@@ -69,19 +74,18 @@ class CimMacro {
                       MacroRunStats& stats) const;
 
   /// Analog fast path over one packed tile: bit-identical to mvm() on
-  /// the same tile (same y, same stats, same RNG draw order). `x` holds
-  /// the tile's k_size activation entries; `y` receives m partial sums.
-  /// `packed` must have been built against this macro's geometry.
+  /// the same tile with the same `noise_key` (same y, same stats). `x`
+  /// holds the tile's k_size activation entries; `y` receives m partial
+  /// sums. `packed` must have been built against this macro's geometry.
   void mvm_packed(const PackedRomWeights& packed, int tile_index,
-                  const std::uint8_t* x, std::int32_t* y, Rng& rng,
-                  MacroRunStats& stats) const;
+                  const std::uint8_t* x, std::int32_t* y,
+                  std::uint64_t noise_key, MacroRunStats& stats) const;
 
   /// Exact-cost fast path over one packed tile: bit-identical to
   /// mvm_exact_cost() on the same tile. `w` is the FULL (m x k) weight
   /// matrix the packing was built from (the integer MAC reads the raw
   /// rows in place — no per-call chunk copy); `packed` supplies the tile
-  /// boundaries and cost geometry. No RNG is consumed (the legacy exact
-  /// path draws none either).
+  /// boundaries and cost geometry. No noise is drawn.
   void mvm_packed_exact_cost(const PackedRomWeights& packed, int tile_index,
                              const std::int8_t* w, const std::uint8_t* x,
                              std::int32_t* y, MacroRunStats& stats) const;
@@ -89,9 +93,13 @@ class CimMacro {
   [[nodiscard]] const MacroConfig& config() const { return config_; }
   [[nodiscard]] const CimArrayModel& array_model() const { return array_; }
 
-  /// True when the analog chain draws no noise (sigma_cell == 0 and ADC
-  /// noise_sigma_v == 0): the packed path then runs draw-free.
-  [[nodiscard]] bool noise_free() const { return noise_free_; }
+  /// The per-count ADC code distribution both analog paths sample.
+  [[nodiscard]] const ReadCodeTable& read_table() const { return table_; }
+  /// Precharge energy charged per read of `count` ON cells: the expected
+  /// value of the noisy chain's charge [pJ].
+  [[nodiscard]] double expected_precharge_pj(int count) const {
+    return count * precharge_pj_per_cell_;
+  }
 
   /// The macro's fault model, or nullptr when config().faults.any() is
   /// false (the common case — no model is constructed at all). The
@@ -116,24 +124,28 @@ class CimMacro {
   void check_packed_tile(const PackedRomWeights& packed,
                          int tile_index) const;
 
+  /// Conversion + expected precharge energy of `reads` analog reads that
+  /// saw `cells` exact ON cells in total.
+  void charge_reads(std::uint64_t reads, std::uint64_t cells,
+                    MacroRunStats& stats) const;
+
+  /// Count estimate of read number `read` of the call keyed `noise_key`.
+  [[nodiscard]] double read_estimate(int count, std::uint64_t noise_key,
+                                     std::uint64_t read) const {
+    return table_.code(count, hash64(noise_key + read)) * counts_per_code_;
+  }
+
   MacroConfig config_;
   CimArrayModel array_;
+  ReadCodeTable table_;
   /// Constructed only when config_.faults.any(); shared so macro copies
   /// see one active flag. Both mvm paths hoist ONE null/active check per
   /// call — the fault-off instruction stream is otherwise unchanged.
   std::shared_ptr<FaultModel> faults_;
 
-  // Analog read chain constants, derived by CimArrayModel (next to the
-  // canonical read_count they mirror) and cached here for the inlined
-  // packed read path; sqrt of the integer ON-cell count is
-  // pre-tabulated (<= 128 rows).
-  CimArrayModel::ReadChainConsts read_;
-  std::array<double, 129> sqrt_count_{};
-  bool noise_free_ = false;
-  // Noise-free transfer tables indexed by exact count (<= 128 rows):
-  // code * counts_per_code and the matching precharge energy.
-  std::array<double, 129> ideal_estimate_{};
-  std::array<double, 129> ideal_precharge_pj_{};
+  double counts_per_code_ = 0.0;
+  double adc_energy_pj_ = 0.0;
+  double precharge_pj_per_cell_ = 0.0;
 };
 
 }  // namespace yoloc

@@ -1,6 +1,7 @@
 #include "macro/fault_model.hpp"
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace yoloc {
 
@@ -14,18 +15,6 @@ constexpr std::uint64_t kStreamStuckOne = 2;
 constexpr std::uint64_t kStreamFlip = 3;
 constexpr std::uint64_t kStreamAdcOffset = 4;
 constexpr std::uint64_t kStreamAdcGain = 5;
-
-std::uint64_t splitmix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Fold `v` into hash state `h` (splitmix as the mixing function).
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  return splitmix(h ^ v);
-}
 
 /// Uniform double in [0, 1) from a hash value (53 mantissa bits).
 double hash01(std::uint64_t h) {
@@ -46,13 +35,15 @@ RowMask FaultModel::bernoulli_mask(std::uint64_t stream, int j, int b, int t,
                                    double rate) const {
   RowMask mask;
   if (rate <= 0.0) return mask;
-  std::uint64_t h = mix(config_.seed, salt_);
-  h = mix(h, stream);
-  h = mix(h, static_cast<std::uint64_t>(j));
-  h = mix(h, static_cast<std::uint64_t>(b));
-  h = mix(h, static_cast<std::uint64_t>(t));
+  std::uint64_t h = hash_chain(config_.seed, salt_);
+  h = hash_chain(h, stream);
+  h = hash_chain(h, static_cast<std::uint64_t>(j));
+  h = hash_chain(h, static_cast<std::uint64_t>(b));
+  h = hash_chain(h, static_cast<std::uint64_t>(t));
   for (int i = 0; i < rows_; ++i) {
-    if (hash01(mix(h, static_cast<std::uint64_t>(i))) < rate) mask.set(i);
+    if (hash01(hash_chain(h, static_cast<std::uint64_t>(i))) < rate) {
+      mask.set(i);
+    }
   }
   return mask;
 }
@@ -73,17 +64,17 @@ RowMask FaultModel::transient_flips(int j, int b, int t) const {
 AdcDrift FaultModel::adc_drift(int j, int b) const {
   AdcDrift drift;
   if (config_.adc_gain_max > 0.0) {
-    std::uint64_t h = mix(config_.seed, salt_);
-    h = mix(h, kStreamAdcGain);
-    h = mix(h, static_cast<std::uint64_t>(j));
-    h = mix(h, static_cast<std::uint64_t>(b));
+    std::uint64_t h = hash_chain(config_.seed, salt_);
+    h = hash_chain(h, kStreamAdcGain);
+    h = hash_chain(h, static_cast<std::uint64_t>(j));
+    h = hash_chain(h, static_cast<std::uint64_t>(b));
     drift.gain = 1.0 + (2.0 * hash01(h) - 1.0) * config_.adc_gain_max;
   }
   if (config_.adc_offset_max > 0.0) {
-    std::uint64_t h = mix(config_.seed, salt_);
-    h = mix(h, kStreamAdcOffset);
-    h = mix(h, static_cast<std::uint64_t>(j));
-    h = mix(h, static_cast<std::uint64_t>(b));
+    std::uint64_t h = hash_chain(config_.seed, salt_);
+    h = hash_chain(h, kStreamAdcOffset);
+    h = hash_chain(h, static_cast<std::uint64_t>(j));
+    h = hash_chain(h, static_cast<std::uint64_t>(b));
     drift.offset_counts = (2.0 * hash01(h) - 1.0) * config_.adc_offset_max;
   }
   return drift;

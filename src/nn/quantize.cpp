@@ -44,7 +44,7 @@ ResolvedEngine resolve_engine(const MvmEngine* direct, EngineKind kind,
     // Direct bindings execute with an otherwise-empty session: only
     // sessionless engines (ExactMvmEngine) support that. Session-
     // requiring engines (MacroMvmEngine) must be driven through an
-    // ExecutionContext / MvmBinding, which supplies rng + stats.
+    // ExecutionContext / MvmBinding, which supplies noise + stats.
     YOLOC_CHECK(direct != nullptr,
                 std::string(what) +
                     ": no engine bound — run inside an ExecutionContext "

@@ -16,7 +16,7 @@
 //                               models the analog bitline + ADC.
 //
 // Execution model: engines are immutable and reentrant. All mutable
-// per-request state (the analog-noise RNG stream, run statistics, scratch
+// per-request state (the analog-noise keys, run statistics, scratch
 // buffers) travels in an MvmSession supplied by the caller. A quantized
 // layer finds its engine either through the layer's direct binding
 // (legacy single-engine deployments via quantize_network) or through the
@@ -44,6 +44,7 @@
 namespace yoloc {
 
 struct MacroRunStats;  // macro/cim_macro.hpp — sessions only hold a pointer
+struct NoiseKeys;      // core/macro_engine.hpp — likewise
 
 /// Reusable buffers for the deploy-time hot loop. Owned by the caller
 /// (one per concurrent request); every field is resized on first use and
@@ -61,12 +62,12 @@ struct MvmScratch {
 class LayerTraceSink;  // defined below, after EngineKind
 
 /// Mutable per-request state threaded through an engine call. Engines that
-/// model analog noise require `rng` and all engines that meter activity
+/// model analog noise require `noise` and all engines that meter activity
 /// require `stats`; `scratch` is optional (engines fall back to local
 /// allocations when it is null). `trace` is an optional observer for
 /// per-layer span timing — null (the default) costs the hot loop nothing.
 struct MvmSession {
-  Rng* rng = nullptr;
+  NoiseKeys* noise = nullptr;
   MacroRunStats* stats = nullptr;
   MvmScratch* scratch = nullptr;
   LayerTraceSink* trace = nullptr;
@@ -114,7 +115,7 @@ class MvmEngine {
 };
 
 /// Bit-exact integer reference backend (stateless; ignores the session's
-/// rng/stats).
+/// noise/stats).
 class ExactMvmEngine final : public MvmEngine {
  public:
   using MvmEngine::mvm_batch;  // keep the sessionless convenience visible

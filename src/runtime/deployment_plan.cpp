@@ -164,12 +164,14 @@ void record_canaries(DeploymentPlan& plan, int count,
 Tensor DeploymentPlan::execute(const Tensor& images,
                                ExecutionContext& ctx) const {
   YOLOC_CHECK(ctx.plan_ == this, "deployment plan: foreign context");
+  YOLOC_CHECK(images.rank() >= 1, "deployment plan: input has no batch axis");
+  ctx.key_images(images.shape()[0]);
   MvmBinding binding;
   binding.slot(EngineKind::kRom) = {
-      &rom_engine_, {&ctx.rom_rng_, &ctx.rom_stats_, &ctx.scratch_,
+      &rom_engine_, {&ctx.noise_, &ctx.rom_stats_, &ctx.scratch_,
                      ctx.trace_}};
   binding.slot(EngineKind::kSram) = {
-      &sram_engine_, {&ctx.sram_rng_, &ctx.sram_stats_, &ctx.scratch_,
+      &sram_engine_, {&ctx.noise_, &ctx.sram_stats_, &ctx.scratch_,
                       ctx.trace_}};
   MvmBinding::Scope scope(binding);
   // Layer::forward is non-const to serve the training substrate; the

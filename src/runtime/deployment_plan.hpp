@@ -11,8 +11,8 @@
 // models, the two reentrant MvmEngines, and the packed weight bit-planes
 // (one PackedWeightsCache per engine, populated for every quantized
 // layer at construction — the software analogue of committing the ROM
-// mask at tape-out). It owns NO mutable per-request state — noise RNG
-// streams, run statistics and scratch buffers live in ExecutionContext —
+// mask at tape-out). It owns NO mutable per-request state — noise keys,
+// run statistics and scratch buffers live in ExecutionContext —
 // so any number of contexts can execute one plan concurrently (the
 // throughput model of mixed ROM+SRAM chips such as YOCO and multi-core
 // PCM inference parts, scaled to host threads).

@@ -1,28 +1,44 @@
 #include "runtime/execution_context.hpp"
 
+#include "common/check.hpp"
 #include "runtime/deployment_plan.hpp"
 
 namespace yoloc {
 
-namespace {
-// Keeps the two macros' noise streams decorrelated when both derive from
-// one request seed (mirrors the historical framework seeding).
-constexpr std::uint64_t kSramSeedSalt = 0x5A5A;
-}  // namespace
-
 ExecutionContext::ExecutionContext(const DeploymentPlan& plan,
                                    std::uint64_t noise_seed)
-    : plan_(&plan),
-      rom_rng_(noise_seed),
-      sram_rng_(noise_seed ^ kSramSeedSalt) {}
+    : plan_(&plan), seed_(noise_seed) {}
 
 Tensor ExecutionContext::infer(const Tensor& images) {
   return plan_->execute(images, *this);
 }
 
 void ExecutionContext::reseed(std::uint64_t noise_seed) {
-  rom_rng_ = Rng(noise_seed);
-  sram_rng_ = Rng(noise_seed ^ kSramSeedSalt);
+  segments_.clear();
+  seed_ = noise_seed;
+  noise_.calls = 0;
+}
+
+void ExecutionContext::reseed(std::vector<NoiseSegment> segments) {
+  segments_ = std::move(segments);
+  noise_.calls = 0;
+}
+
+void ExecutionContext::key_images(int images) {
+  noise_.images.clear();
+  if (segments_.empty()) {
+    for (int i = 0; i < images; ++i) {
+      noise_.images.push_back(image_noise_key(seed_, i));
+    }
+    return;
+  }
+  for (const NoiseSegment& s : segments_) {
+    for (int i = 0; i < s.images; ++i) {
+      noise_.images.push_back(image_noise_key(s.seed, i));
+    }
+  }
+  YOLOC_CHECK(noise_.images.size() == static_cast<std::size_t>(images),
+              "execution context: noise segments do not cover the batch");
 }
 
 void ExecutionContext::reset_stats() {

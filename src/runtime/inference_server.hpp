@@ -10,10 +10,11 @@
 // scheduler for callers that want priorities, deadlines, or the full
 // metrics snapshot.
 //
-// Determinism: with max_microbatch = 1 and single-class traffic,
-// request i is bit-identical to a serial ExecutionContext run seeded
-// noise_seed + i — outputs AND merged stat sums — independent of worker
-// count or scheduling (see the contract note in serve/scheduler.hpp).
+// Determinism: request i's outputs are bit-identical to a serial
+// ExecutionContext run seeded noise_seed + i, independent of worker
+// count, micro-batching or scheduling; with max_microbatch = 1 and
+// single-class traffic the merged stat sums are too (see the contract
+// note in serve/scheduler.hpp).
 
 #include <cstdint>
 #include <future>
@@ -27,7 +28,7 @@ struct ServerOptions {
   int workers = 0;
   /// Max requests fused into one forward pass.
   int max_microbatch = 8;
-  /// Base noise seed; batches derive their stream from it.
+  /// Base noise seed; request id i is served with noise_seed + i.
   std::uint64_t noise_seed = 2024;
   /// Per-request tracing sample rate in [0, 1]; 0 (default) disables
   /// collection entirely. See SchedulerOptions::trace_sampling.

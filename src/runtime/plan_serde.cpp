@@ -162,6 +162,7 @@ OptionsSection read_options(ByteReader& r, std::uint32_t version) {
 // ------------------------------------------------------------- canaries
 
 void write_canaries(ByteWriter& w, const CanarySuite& suite) {
+  w.u32(kCanaryNoiseModel);
   w.u32(static_cast<std::uint32_t>(suite.probes.size()));
   for (const CanaryProbe& p : suite.probes) {
     w.u64(p.seed);
@@ -172,6 +173,8 @@ void write_canaries(ByteWriter& w, const CanarySuite& suite) {
 
 CanarySuite read_canaries(ByteReader& r) {
   CanarySuite suite;
+  YOLOC_CHECK(r.u32() == kCanaryNoiseModel,
+              "plan: canary goldens carry an unknown analog noise model");
   const std::uint32_t n = r.u32();
   YOLOC_CHECK(n >= 1 && n <= kMaxCanaryProbes,
               "plan: bad canary probe count");
@@ -476,13 +479,13 @@ PlanArtifactInfo inspect_plan_file(const std::string& path) {
 }
 
 std::vector<std::uint8_t> serialize_plan(const DeploymentPlan& plan) {
-  // Version-adaptive: plans using no v2 feature serialize as version 1,
-  // byte-identical to pre-fault-framework artifacts (pinned by the serde
-  // golden fixture).
-  const bool v2 = plan.options().rom_macro.faults.any() ||
-                  plan.options().sram_macro.faults.any() ||
-                  !plan.canaries().empty();
-  const std::uint32_t version = v2 ? 2 : 1;
+  // Version-adaptive: plans using no v2/v3 feature serialize as version
+  // 1, byte-identical to pre-fault-framework artifacts (pinned by the
+  // serde golden fixture).
+  const bool faults = plan.options().rom_macro.faults.any() ||
+                      plan.options().sram_macro.faults.any();
+  const std::uint32_t version =
+      !plan.canaries().empty() ? 3 : (faults ? 2 : 1);
 
   ByteWriter options;
   write_options(options, plan, version);
@@ -581,6 +584,10 @@ std::unique_ptr<DeploymentPlan> deserialize_plan(const std::uint8_t* data,
   CanarySuite canaries;
   if (const Entry* e = find_optional(kSectionCanary); e != nullptr) {
     YOLOC_CHECK(version >= 2, "plan: CANARY section in a version-1 artifact");
+    YOLOC_CHECK(version >= 3,
+                "plan: canary goldens were recorded under the retired "
+                "streamed noise model (version-2 artifact); re-record them "
+                "with record_canaries() and save the plan again");
     ByteReader canary_r = checked_reader(*e);
     canaries = read_canaries(canary_r);
     canary_r.expect_exhausted("plan canary section");

@@ -12,7 +12,7 @@
 // File layout (all integers little-endian, see common/binio.hpp):
 //
 //   magic   "YOLOCPLN"                      8 bytes
-//   version u32                             format revision (1 or 2)
+//   version u32                             format revision (1, 2 or 3)
 //   nsec    u32                             section count
 //   table   nsec x { id u32, offset u64, size u64, crc32 u32 }
 //   payloads                                section bytes at their offsets
@@ -26,14 +26,17 @@
 //   2 GRAPH    the lowered layer tree, preorder: LayerKind tag + per-kind
 //              payload (quantized weights, scales, biases, calibrated
 //              activation ranges, container topology).
-//   3 CANARY   (version 2, optional) canary probes: per probe the noise
-//              seed, the fixed input tensor and the golden logits a
-//              healthy deployment produces for it.
+//   3 CANARY   (version 3, optional) canary probes: the analog noise
+//              model the goldens were recorded under, then per probe
+//              the noise seed, the fixed input tensor and the golden
+//              logits a healthy deployment produces for it.
 //
 // The writer is version-adaptive: a plan with no fault config and no
 // canaries serializes as version 1, byte-identical to pre-fault-framework
-// artifacts; only plans using the new features pay the version bump.
-// The loader accepts both versions.
+// artifacts; a fault config alone gives version 2, canaries version 3.
+// The loader accepts all three, but refuses a version-2 CANARY section:
+// its goldens were recorded under the retired streamed noise model and
+// would trip every canary breaker at serve time.
 //
 // Every section carries a CRC-32; load refuses bad magic, unknown
 // versions, out-of-bounds section tables, checksum mismatches and
@@ -53,8 +56,12 @@ namespace yoloc {
 /// Newest format revision serialize_plan can write; the loader accepts
 /// [kPlanFormatMinVersion, kPlanFormatVersion]. The writer emits the
 /// OLDEST version that can represent the plan (see header comment).
-inline constexpr std::uint32_t kPlanFormatVersion = 2;
+inline constexpr std::uint32_t kPlanFormatVersion = 3;
 inline constexpr std::uint32_t kPlanFormatMinVersion = 1;
+/// Analog noise model stamped into CANARY sections: 2 = counter-keyed,
+/// table-sampled ADC noise (CimMacro). Model 1, the streamed Gaussian
+/// noise of version-2 artifacts, is no longer reproducible.
+inline constexpr std::uint32_t kCanaryNoiseModel = 2;
 /// Canonical artifact extension.
 inline constexpr const char* kPlanFileExtension = ".yolocplan";
 

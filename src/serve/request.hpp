@@ -139,8 +139,8 @@ class DeadlineExpiredError : public std::runtime_error {
 struct ServeRequest {
   Tensor input;
   std::promise<Tensor> promise;
-  /// Admission-order id; also the per-request noise-stream offset that
-  /// backs the max_microbatch = 1 determinism contract.
+  /// Admission-order id; also the per-request noise seed offset that
+  /// backs the determinism contract.
   std::uint64_t id = 0;
   Priority priority = Priority::kBatch;
   ServeClock::time_point submit_time{};

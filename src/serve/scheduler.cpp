@@ -251,7 +251,7 @@ std::future<Tensor> Scheduler::submit(Tensor images, SubmitOptions options) {
                          ewma_image_ns_.load(std::memory_order_relaxed))) {
       case RequestQueue::Admission::kAccept:
         // Ids are admission-ordered: the id doubles as the request's
-        // noise-stream offset, so rejections must not consume one.
+        // noise seed offset, so rejections must not consume one.
         req.id = next_request_id_++;
         queue_.push(std::move(req));
         break;
@@ -493,9 +493,14 @@ void Scheduler::worker_loop(int worker_index) {
       }
     }
 
-    // Derive this batch's noise stream from its first request so results
-    // do not depend on which worker picked the batch up.
-    ctx.reseed(options_.noise_seed + batch.front().id);
+    // Key every request's images on its own seed so results depend on
+    // neither the worker nor the batch the request landed in.
+    std::vector<ExecutionContext::NoiseSegment> segments;
+    segments.reserve(batch.size());
+    for (const ServeRequest& r : batch) {
+      segments.push_back({options_.noise_seed + r.id, r.input.shape()[0]});
+    }
+    ctx.reseed(std::move(segments));
     ctx.reset_stats();
 
     BatchTraceSink layer_sink(&trace_, worker_index, batch.front().id,

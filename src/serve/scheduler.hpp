@@ -25,17 +25,16 @@
 // later than the end of the shortest in-flight batch (or the next
 // submission, whichever comes first).
 //
-// Determinism contract (inherited from the FIFO InferenceServer it
-// replaces): each batch executes on a context reseeded with
-// noise_seed + id of its FIRST request (ids are admission-ordered), and
-// per-batch stats merge in batch-formation order. With max_microbatch=1
+// Determinism contract: request id i executes with noise seed
+// noise_seed + i, and its images are keyed by that seed and their index
+// within the request whatever batch it lands in (see
+// ExecutionContext::reseed). So every request's outputs are
+// bit-identical to a serial ExecutionContext run seeded noise_seed + i,
+// independent of worker count, max_microbatch and batch composition.
+// Per-batch stats merge in batch-formation order; with max_microbatch=1
 // and a single priority class, formation order equals admission order,
-// so request i is bit-identical — outputs AND merged stat sums — to a
-// serial ExecutionContext run seeded noise_seed + i, independent of
-// worker count. With mixed classes or max_microbatch > 1, batch
-// COMPOSITION (and with it the noise-stream alignment and double
-// summation order) depends on scheduling; exact-cost outputs stay
-// bit-exact per request regardless.
+// so the merged stat sums are bit-identical too. Otherwise batch
+// composition changes their double summation order.
 //
 // Telemetry: every worker records into its own MetricsRegistry slot —
 // queue-wait and end-to-end latency histograms (p50/p95/p99), per-class
@@ -72,7 +71,7 @@ struct SchedulerOptions {
   /// Per scheduling decision each lane derives an EFFECTIVE cap from its
   /// SLO budget (see lane_slo); this is the global ceiling.
   int max_microbatch = 8;
-  /// Base noise seed; batches derive their stream from it.
+  /// Base noise seed; request id i is served with noise_seed + i.
   std::uint64_t noise_seed = 2024;
   /// Admission cap per priority lane. 0 = unlimited.
   std::uint64_t max_queue_depth = 0;

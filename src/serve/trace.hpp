@@ -20,7 +20,7 @@
 // before any clock read, so untraced deployments pay nothing.
 //
 // Tracing is OBSERVER-ONLY: it never influences scheduling, batching,
-// noise streams or outputs. The `trace`-labeled tests pin outputs and
+// noise or outputs. The `trace`-labeled tests pin outputs and
 // stat sums bit-identical between sampling 0.0 and 1.0.
 //
 // Event name lifetime: `TraceEvent::name` / `layer` hold pointers to

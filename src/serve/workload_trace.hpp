@@ -11,8 +11,8 @@
 //
 // replay_trace() drives any DeploymentPlan + SchedulerOptions with a
 // recorded trace: submissions happen single-threaded in record order,
-// so admission ids — and with them the noise-stream offsets and the
-// max_microbatch = 1 determinism contract — are reproduced exactly.
+// so admission ids — and with them the per-request noise seeds and the
+// determinism contract — are reproduced exactly.
 // Input CONTENT is synthesized per recorded geometry from a fixed seed
 // (the trace records shapes, not pixels), so a replay is
 // self-contained: one trace file + one plan file reproduces a serving

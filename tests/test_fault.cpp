@@ -3,7 +3,7 @@
 // fault patterns replay bit-exactly, the legacy and packed MVM paths
 // stay bit-identical under faults, dormant faults cost nothing and
 // change nothing, plans round-trip fault configs + canary suites
-// (format v2), and the scheduler's canary -> breaker -> shed -> recover
+// (format v2/v3), and the scheduler's canary -> breaker -> shed -> recover
 // pipeline works end to end. `ctest -L fault` selects this suite.
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "core/macro_engine.hpp"
 #include "nn/activations.hpp"
 #include "nn/container.hpp"
@@ -88,10 +89,11 @@ std::vector<std::int32_t> run_engine(const MacroConfig& cfg,
   const auto w = random_weights(m, k, seed);
   const auto x = random_acts(k, p, seed);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
-  Rng rng(seed);
+  NoiseKeys keys;
+  keys.images = {image_noise_key(seed, 0)};
   MacroRunStats stats;
   MvmScratch scratch;
-  MvmSession session{&rng, &stats, &scratch};
+  MvmSession session{&keys, &stats, &scratch};
   engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
   if (stats_out != nullptr) *stats_out = stats;
   return y;
@@ -120,18 +122,24 @@ TEST(FaultModel, LegacyAndPackedPathsIdenticalUnderFaults) {
   // The determinism contract extends to faults: the packed fast path
   // must see the SAME stuck cells, drifted columns and transient flips
   // as the per-call path (fault coordinates are tile-local).
-  const MacroConfig cfg = faulted_rom(heavy_faults());
-  for (const int k : {96, 200}) {  // single-tile and multi-tile
-    MacroRunStats stats_legacy, stats_packed;
-    const auto legacy = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, false,
-                                   6, k, 3, 5, &stats_legacy);
-    const auto packed = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, true,
-                                   6, k, 3, 5, &stats_packed);
-    EXPECT_EQ(legacy, packed) << "k=" << k;
-    EXPECT_EQ(stats_legacy.array.adc_conversions,
-              stats_packed.array.adc_conversions);
-    EXPECT_EQ(stats_legacy.array.adc_energy_pj,
-              stats_packed.array.adc_energy_pj);
+  // Checked noise-free and under the default read noise.
+  MacroConfig noisy = default_rom_macro();
+  noisy.faults = heavy_faults();
+  for (const MacroConfig& cfg : {faulted_rom(heavy_faults()), noisy}) {
+    for (const int k : {96, 200}) {  // single-tile and multi-tile
+      MacroRunStats stats_legacy, stats_packed;
+      const auto legacy = run_engine(cfg, MacroMvmEngine::Mode::kAnalog,
+                                     false, 6, k, 3, 5, &stats_legacy);
+      const auto packed = run_engine(cfg, MacroMvmEngine::Mode::kAnalog,
+                                     true, 6, k, 3, 5, &stats_packed);
+      EXPECT_EQ(legacy, packed) << "k=" << k;
+      EXPECT_EQ(stats_legacy.array.adc_conversions,
+                stats_packed.array.adc_conversions);
+      EXPECT_EQ(stats_legacy.array.adc_energy_pj,
+                stats_packed.array.adc_energy_pj);
+      EXPECT_EQ(stats_legacy.array.precharge_energy_pj,
+                stats_packed.array.precharge_energy_pj);
+    }
   }
 }
 
@@ -157,10 +165,11 @@ TEST(FaultModel, SetActiveTogglesAtRuntime) {
   const auto x = random_acts(96, 2, 5);
   const auto run = [&] {
     std::vector<std::int32_t> y(12);
-    Rng rng(5);
+    NoiseKeys keys;
+    keys.images = {image_noise_key(5, 0)};
     MacroRunStats stats;
     MvmScratch scratch;
-    MvmSession session{&rng, &stats, &scratch};
+    MvmSession session{&keys, &stats, &scratch};
     engine.mvm_batch(w.data(), 6, 96, x.data(), 2, y.data(), session);
     return y;
   };
@@ -200,7 +209,7 @@ std::unique_ptr<DeploymentPlan> tiny_plan(const FaultModelConfig& rom_faults) {
                                           std::move(options));
 }
 
-TEST(PlanSerde, V2RoundTripsFaultConfigAndCanaries) {
+TEST(PlanSerde, RoundTripsFaultConfigAndCanaries) {
   auto plan = tiny_plan(heavy_faults());
   record_canaries(*plan, 3, {1, 3, 8, 8});
   ASSERT_EQ(plan->canaries().probes.size(), 3u);
@@ -233,6 +242,49 @@ TEST(PlanSerde, V2RoundTripsFaultConfigAndCanaries) {
   ASSERT_TRUE(same_shape(ya, yb));
   EXPECT_EQ(
       std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)), 0);
+}
+
+TEST(PlanSerde, RejectsCanariesFromTheRetiredNoiseModel) {
+  // Goldens recorded under another analog noise model would fail every
+  // canary at serve time and trip all breakers, so load refuses them.
+  auto plan = tiny_plan(heavy_faults());
+  record_canaries(*plan, 2, {1, 3, 8, 8});
+  std::vector<std::uint8_t> bytes = serialize_plan(*plan);
+  ASSERT_EQ(bytes[8], 3u) << "canaries are written as format version 3";
+  EXPECT_NO_THROW((void)deserialize_plan(bytes.data(), bytes.size()));
+
+  const auto expect_rejected = [](const std::vector<std::uint8_t>& b,
+                                  const char* why) {
+    try {
+      (void)deserialize_plan(b.data(), b.size());
+      ADD_FAILURE() << "loaded a plan with " << why;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("noise model"), std::string::npos)
+          << e.what();
+    }
+  };
+
+  // A version-2 artifact's CANARY section predates the noise stamp.
+  std::vector<std::uint8_t> v2 = bytes;
+  v2[8] = 2;
+  expect_rejected(v2, "version-2 canary goldens");
+
+  // A version-3 section stamped with another noise model (CRC fixed up,
+  // so only the stamp is wrong).
+  std::vector<std::uint8_t> stamped = bytes;
+  const PlanArtifactInfo info = inspect_plan(bytes.data(), bytes.size());
+  for (std::size_t i = 0; i < info.sections.size(); ++i) {
+    const PlanSectionInfo& sec = info.sections[i];
+    if (sec.id != 3) continue;
+    stamped[sec.offset] = 1;  // little-endian u32 noise model = 1
+    const std::uint32_t crc = crc32(stamped.data() + sec.offset, sec.size);
+    const std::size_t entry = 16 + i * 24;  // magic, version, nsec
+    for (int byte = 0; byte < 4; ++byte) {
+      stamped[entry + 20 + static_cast<std::size_t>(byte)] =
+          static_cast<std::uint8_t>(crc >> (8 * byte));
+    }
+  }
+  expect_rejected(stamped, "an unknown noise-model stamp");
 }
 
 TEST(PlanSerde, CanaryGoldensAreRecordedHealthy) {

@@ -257,8 +257,8 @@ TEST(HttpInfer, BitIdenticalToDirectExecutionAcrossBothEncodings) {
   constexpr std::uint64_t kSeed = 777;
   constexpr int kRequests = 6;
 
-  // Serial reference: request i (admission id i) must execute with the
-  // noise stream seeded kSeed + i — the scheduler determinism contract,
+  // Serial reference: request i (admission id i) must execute with its
+  // noise seeded kSeed + i — the scheduler determinism contract,
   // now carried through HTTP parse -> base64 -> submit -> base64.
   std::vector<Tensor> inputs, reference;
   for (int i = 0; i < kRequests; ++i) {
@@ -298,27 +298,115 @@ TEST(HttpInfer, BitIdenticalToDirectExecutionAcrossBothEncodings) {
   }
 }
 
+TEST(HttpInfer, FusedMicrobatchesBitIdenticalToDirectExecution) {
+  // max_microbatch 4: requests queued behind a held worker are fused into
+  // shared forward passes, and each reply must still equal a serial
+  // ExecutionContext run seeded kSeed + admission id.
+  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  constexpr std::uint64_t kSeed = 1234;
+  constexpr int kRequests = 7;
+  std::vector<Tensor> inputs, reference;
+  for (int i = 0; i < kRequests; ++i) {
+    inputs.push_back(make_input(300 + static_cast<unsigned>(i),
+                                {1 + i % 2, 3, 8, 8}));
+    ExecutionContext ctx(*plan, kSeed + static_cast<std::uint64_t>(i));
+    reference.push_back(ctx.infer(inputs.back()));
+  }
+
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool held = false;
+  bool released = false;
+  SchedulerOptions sched;
+  sched.workers = 1;
+  sched.max_microbatch = 4;
+  sched.noise_seed = kSeed;
+  sched.worker_fault_hook = [&](int) {
+    std::unique_lock lock(gate_mutex);
+    if (held) return;  // only the first batch is held
+    held = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return released; });
+  };
+  Scheduler scheduler(*plan, sched);
+  HttpServerOptions http;
+  http.handler_threads = kRequests;  // every request waits in a handler
+  HttpServer server(scheduler, *plan, http);
+
+  // Admit one request at a time so admission ids follow i.
+  const auto batch_depth = [&] {
+    return scheduler.metrics_snapshot()
+        .classes[static_cast<std::size_t>(Priority::kBatch)]
+        .queue_depth;
+  };
+  std::vector<std::future<HttpResponse>> replies;
+  for (int i = 0; i < kRequests; ++i) {
+    replies.push_back(std::async(std::launch::async, [&, i] {
+      HttpClient c("127.0.0.1", server.port(), milliseconds(30000));
+      return c.post("/infer",
+                    infer_body(inputs[static_cast<std::size_t>(i)], "batch"));
+    }));
+    bool admitted = false;
+    for (int spin = 0; spin < 3000 && !admitted; ++spin) {
+      if (i == 0) {
+        std::lock_guard lock(gate_mutex);
+        admitted = held;
+      } else {
+        admitted = batch_depth() == static_cast<std::uint64_t>(i);
+      }
+      if (!admitted) std::this_thread::sleep_for(milliseconds(1));
+    }
+    EXPECT_TRUE(admitted) << "request " << i << " was not admitted in order";
+  }
+  {
+    std::lock_guard lock(gate_mutex);
+    released = true;
+  }
+  gate_cv.notify_all();
+
+  for (int i = 0; i < kRequests; ++i) {
+    const HttpResponse resp = replies[static_cast<std::size_t>(i)].get();
+    ASSERT_EQ(resp.status, 200) << "request " << i << ": " << resp.body;
+    EXPECT_TRUE(bit_identical(reference[static_cast<std::size_t>(i)],
+                              tensor_from_response(resp.body)))
+        << "request " << i;
+  }
+  scheduler.wait_idle();
+  EXPECT_EQ(scheduler.metrics_snapshot().max_batch_occupancy, 4)
+      << "requests must have been fused";
+}
+
 // ------------------------------------------- admission status mapping
 
 TEST(HttpAdmission, QueueFullMapsTo429WithRetryAfter) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  // The single worker holds its first batch in the fault hook until the
+  // overflow has been observed, so the sequence below does not depend on
+  // how long a forward pass takes.
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool worker_held = false;
+  bool released = false;
   SchedulerOptions sched;
   sched.workers = 1;
   sched.max_queue_depth = 1;
+  sched.worker_fault_hook = [&](int) {
+    std::unique_lock lock(gate_mutex);
+    worker_held = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return released; });
+  };
   Scheduler scheduler(*plan, sched);
   HttpServer server(scheduler, *plan);
 
-  // Occupy the single worker directly, long enough to observe the full
-  // sequence below: two chained interactive blockers (strict weights
-  // outrank the batch lane) keep it busy for hundreds of ms; the first
-  // is picked up before the second is submitted so the second sits in
-  // the interactive QUEUE — the depth cap is per lane, so the batch
-  // lane still has its own 1-slot budget.
-  auto blocker = scheduler.submit(make_input(7, {128, 3, 8, 8}),
+  // Occupy the single worker with an interactive blocker. The depth cap
+  // is per lane, so the batch lane still has its own 1-slot budget.
+  auto blocker = scheduler.submit(make_input(7, {1, 3, 8, 8}),
                                   {Priority::kInteractive, milliseconds(0)});
-  std::this_thread::sleep_for(milliseconds(80));  // worker surely picked up
-  auto blocker2 = scheduler.submit(make_input(6, {128, 3, 8, 8}),
-                                   {Priority::kInteractive, milliseconds(0)});
+  {
+    std::unique_lock lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return worker_held; });
+  }
 
   // This one is admitted into the batch lane (depth 1/1) and parks.
   auto queued = std::async(std::launch::async, [&] {
@@ -334,8 +422,12 @@ TEST(HttpAdmission, QueueFullMapsTo429WithRetryAfter) {
   EXPECT_NE(overflow.body.find("\"kind\":\"queue_full\""), std::string::npos);
   EXPECT_FALSE(overflow.headers["retry-after"].empty());
 
+  {
+    std::lock_guard lock(gate_mutex);
+    released = true;
+  }
+  gate_cv.notify_all();
   (void)blocker.get();
-  (void)blocker2.get();
   EXPECT_EQ(queued.get().status, 200);
   EXPECT_GE(server.stats().responses_4xx, 1u);
 }

@@ -1,9 +1,13 @@
 // Macro-level tests: functional MVM fidelity against exact integer math,
-// cost accounting, and the Table I specification summary.
+// cost accounting, the Table I specification summary, and the
+// statistical gate pinning the tabulated read noise to the circuit
+// model.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "macro/cim_macro.hpp"
@@ -46,7 +50,7 @@ TEST(CimMacro, NoiseFreeMvmIsNearExact) {
 
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
-  macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+  macro.mvm(w.data(), m, k, x.data(), y.data(), rng(), stats);
   const auto ref = exact_mvm(w, m, k, x);
 
   // rows_per_activation=32 with a 5-bit ADC leaves ~1 count of rounding
@@ -69,7 +73,7 @@ TEST(CimMacro, SmallValuesExactlyReconstructed) {
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 3));
   std::vector<std::int32_t> y(2);
   MacroRunStats stats;
-  macro.mvm(w.data(), 2, k, x.data(), y.data(), rng, stats);
+  macro.mvm(w.data(), 2, k, x.data(), y.data(), rng(), stats);
   const auto ref = exact_mvm(w, 2, k, x);
   EXPECT_EQ(y[0], ref[0]);
   EXPECT_EQ(y[1], ref[1]);
@@ -96,8 +100,8 @@ TEST(CimMacro, AggressiveGroupingDegradesAccuracy) {
   std::vector<std::int32_t> ya(static_cast<std::size_t>(m));
   MacroRunStats sp;
   MacroRunStats sa;
-  macro_p.mvm(w.data(), m, k, x.data(), yp.data(), rng, sp);
-  macro_a.mvm(w.data(), m, k, x.data(), ya.data(), rng, sa);
+  macro_p.mvm(w.data(), m, k, x.data(), yp.data(), rng(), sp);
+  macro_a.mvm(w.data(), m, k, x.data(), ya.data(), rng(), sa);
   const auto ref = exact_mvm(w, m, k, x);
 
   double err_p = 0.0;
@@ -120,7 +124,7 @@ TEST(CimMacro, StatsCountConversions) {
   std::vector<std::uint8_t> x(static_cast<std::size_t>(k), 1);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
-  macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+  macro.mvm(w.data(), m, k, x.data(), y.data(), rng(), stats);
   // conversions = m * weight_bits * input_bits * groups = 2*8*8*2.
   EXPECT_EQ(stats.array.adc_conversions, 256u);
   EXPECT_EQ(stats.macro_ops, 1u);
@@ -152,7 +156,7 @@ TEST(CimMacro, RejectsOversizedReduction) {
   std::vector<std::uint8_t> x(200, 0);
   std::vector<std::int32_t> y(1);
   MacroRunStats stats;
-  EXPECT_THROW(macro.mvm(w.data(), 1, 200, x.data(), y.data(), rng, stats),
+  EXPECT_THROW(macro.mvm(w.data(), 1, 200, x.data(), y.data(), rng(), stats),
                std::runtime_error);
 }
 
@@ -250,6 +254,181 @@ TEST(MacroSpec, SramLessEfficientThanRom) {
   const auto srom = summarize_macro(rom, rng, 8);
   const auto ssram = summarize_macro(sram, rng, 8);
   EXPECT_GT(srom.mac_eff_tops_per_w, ssram.mac_eff_tops_per_w);
+}
+
+// ------------------------------------------------ statistical noise gate
+//
+// Both analog kernels sample each read's code from the macro's per-count
+// table (macro/read_code_table.hpp). The gate pins that table to the
+// continuous two-Gaussian chain of CimArrayModel::read_count: for every
+// count, 10^6 draws from each must agree in mean, variance and
+// P(code != ideal code) within 5 sigma, and the expected precharge
+// energy charged per read must match read_count's Monte Carlo mean.
+
+constexpr int kGateSamples = 1000000;
+constexpr double kGateSigmas = 5.0;
+
+/// Histogram of ADC codes.
+struct CodeSample {
+  std::vector<double> hist;
+  double n = 0.0;
+
+  explicit CodeSample(int levels) : hist(static_cast<std::size_t>(levels)) {}
+  void add(int code) {
+    hist[static_cast<std::size_t>(code)] += 1.0;
+    n += 1.0;
+  }
+  [[nodiscard]] double mean() const {
+    double m = 0.0;
+    for (std::size_t k = 0; k < hist.size(); ++k) m += k * hist[k];
+    return m / n;
+  }
+  /// Central moment of order `order`.
+  [[nodiscard]] double central(int order) const {
+    const double mu = mean();
+    double m = 0.0;
+    for (std::size_t k = 0; k < hist.size(); ++k) {
+      m += std::pow(static_cast<double>(k) - mu, order) * hist[k];
+    }
+    return m / n;
+  }
+  [[nodiscard]] double off_fraction(int ideal) const {
+    return 1.0 - hist[static_cast<std::size_t>(ideal)] / n;
+  }
+};
+
+CodeSample table_codes(const CimMacro& macro, int count) {
+  CodeSample s(macro.array_model().adc().code_count());
+  for (int i = 0; i < kGateSamples; ++i) {
+    const std::uint64_t u =
+        hash64((static_cast<std::uint64_t>(count) << 32) | i);
+    s.add(macro.read_table().code(count, u));
+  }
+  return s;
+}
+
+/// read_count reference draws; also reports the mean precharge charge
+/// per read and its standard error.
+CodeSample reference_codes(const CimArrayModel& array, int count, Rng& rng,
+                           double& precharge_mean, double& precharge_se) {
+  CodeSample s(array.adc().code_count());
+  double sum = 0.0;
+  double sum2 = 0.0;
+  for (int i = 0; i < kGateSamples; ++i) {
+    ArrayReadStats stats;
+    const double est = array.read_count(count, array.group_size(), rng, stats);
+    s.add(static_cast<int>(std::lround(est / array.counts_per_code())));
+    sum += stats.precharge_energy_pj;
+    sum2 += stats.precharge_energy_pj * stats.precharge_energy_pj;
+  }
+  precharge_mean = sum / kGateSamples;
+  precharge_se = std::sqrt(
+      std::max(0.0, sum2 / kGateSamples - precharge_mean * precharge_mean) /
+      kGateSamples);
+  return s;
+}
+
+/// Statistics (of mean, variance, P(code != ideal)) on which the two
+/// samples disagree by more than kGateSigmas standard errors.
+int gate_failures(const CodeSample& a, const CodeSample& b, int ideal) {
+  constexpr double kSlack = 1e-12;  // zero-variance samples
+  int failures = 0;
+  const double va = a.central(2);
+  const double vb = b.central(2);
+  if (std::fabs(a.mean() - b.mean()) >
+      kGateSigmas * std::sqrt(va / a.n + vb / b.n) + kSlack) {
+    ++failures;
+  }
+  const double se_va = (a.central(4) - va * va) / a.n;
+  const double se_vb = (b.central(4) - vb * vb) / b.n;
+  if (std::fabs(va - vb) >
+      kGateSigmas * std::sqrt(std::max(0.0, se_va + se_vb)) + kSlack) {
+    ++failures;
+  }
+  const double pa = a.off_fraction(ideal);
+  const double pb = b.off_fraction(ideal);
+  const double pooled = (pa * a.n + pb * b.n) / (a.n + b.n);
+  const double se_p =
+      std::sqrt(pooled * (1.0 - pooled) * (1.0 / a.n + 1.0 / b.n));
+  if (std::fabs(pa - pb) > kGateSigmas * se_p + kSlack) {
+    ++failures;
+  }
+  return failures;
+}
+
+int ideal_code(const CimArrayModel& array, int count) {
+  return array.adc().quantize_ideal(array.bitline().voltage_for_count(count));
+}
+
+TEST(NoiseGate, TableMatchesReadCountAtRomAndSramDefaults) {
+  for (const MacroConfig& cfg : {default_rom_macro(), default_sram_macro()}) {
+    SCOPED_TRACE(cfg.kind == MacroKind::kRom ? "rom" : "sram");
+    const CimMacro macro(cfg);
+    MacroConfig doubled_cfg = cfg;
+    doubled_cfg.bitline.sigma_cell *= 2.0;
+    const CimMacro doubled(doubled_cfg);
+    const CimArrayModel& array = macro.array_model();
+    Rng rng(cfg.kind == MacroKind::kRom ? 101 : 202);
+    int doubled_failures = 0;
+    for (int c = 0; c <= array.group_size(); ++c) {
+      double precharge_mean = 0.0;
+      double precharge_se = 0.0;
+      const CodeSample ref =
+          reference_codes(array, c, rng, precharge_mean, precharge_se);
+      const int ideal = ideal_code(array, c);
+      EXPECT_EQ(gate_failures(table_codes(macro, c), ref, ideal), 0)
+          << "count " << c;
+      EXPECT_LE(std::fabs(macro.expected_precharge_pj(c) - precharge_mean),
+                kGateSigmas * precharge_se + 1e-12 * precharge_mean)
+          << "count " << c;
+      doubled_failures += gate_failures(table_codes(doubled, c), ref, ideal);
+    }
+    EXPECT_GT(doubled_failures, 0)
+        << "the gate must catch a deliberately doubled sigma_cell";
+  }
+}
+
+TEST(NoiseGate, ClampedTailsMatchReadCount) {
+  // Large mismatch on few cells puts real mass on the count clamp at 0,
+  // exercising the table's numerically integrated branch.
+  MacroConfig cfg = default_rom_macro();
+  cfg.bitline.sigma_cell = 0.5;
+  cfg.adc.noise_sigma_v = 0.05;
+  const CimMacro macro(cfg);
+  const CimArrayModel& array = macro.array_model();
+  Rng rng(303);
+  for (const int c : {1, 2, 5, 32}) {
+    double precharge_mean = 0.0;
+    double precharge_se = 0.0;
+    const CodeSample ref =
+        reference_codes(array, c, rng, precharge_mean, precharge_se);
+    EXPECT_EQ(gate_failures(table_codes(macro, c), ref, ideal_code(array, c)),
+              0)
+        << "count " << c;
+  }
+}
+
+TEST(NoiseGate, TableRowsAreDistributions) {
+  for (const MacroConfig& cfg : {default_rom_macro(), default_sram_macro()}) {
+    const CimMacro macro(cfg);
+    const ReadCodeTable& table = macro.read_table();
+    EXPECT_GT(table.width(), 0);
+    for (int c = 0; c <= table.max_count(); ++c) {
+      double total = 0.0;
+      for (int k = 0; k < macro.array_model().adc().code_count(); ++k) {
+        total += table.probability(c, k);
+      }
+      EXPECT_NEAR(total, 1.0, 1e-15) << "count " << c;
+    }
+  }
+  // Noise-free: every count reads its ideal code.
+  MacroConfig quiet = quiet_rom();
+  const CimMacro macro(quiet);
+  EXPECT_EQ(macro.read_table().width(), 0);
+  for (int c = 0; c <= macro.read_table().max_count(); ++c) {
+    EXPECT_EQ(macro.read_table().code(c, ~0ull),
+              ideal_code(macro.array_model(), c));
+  }
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Packed-weights fast path coverage: the deploy-time bit-plane packing
 // (macro/packed_weights.*) and the packed CimMacro/MacroMvmEngine MVM
 // must be BIT-IDENTICAL to the legacy per-call path — same outputs, same
-// energy/latency stats, same RNG draw order — across analog (noisy and
-// noise-free), exact-cost, odd reduction sizes and multi-tile shapes.
+// energy/latency stats under the same noise keys — across analog (noisy
+// and noise-free), exact-cost, odd reduction sizes and multi-tile shapes.
 // `ctest -L macro` selects this suite.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "core/macro_engine.hpp"
@@ -65,15 +66,16 @@ void expect_paths_identical(const MacroConfig& cfg,
 
   std::vector<std::int32_t> y_legacy(static_cast<std::size_t>(m) * p);
   std::vector<std::int32_t> y_packed(static_cast<std::size_t>(m) * p);
-  Rng rng_legacy(seed);
-  Rng rng_packed(seed);
+  NoiseKeys keys_legacy;
+  keys_legacy.images = {image_noise_key(seed, 0)};
+  NoiseKeys keys_packed = keys_legacy;
   MacroRunStats stats_legacy, stats_packed;
   MvmScratch scratch_legacy, scratch_packed;
-  MvmSession legacy_session{&rng_legacy, &stats_legacy, &scratch_legacy};
-  MvmSession packed_session{&rng_packed, &stats_packed, &scratch_packed};
+  MvmSession legacy_session{&keys_legacy, &stats_legacy, &scratch_legacy};
+  MvmSession packed_session{&keys_packed, &stats_packed, &scratch_packed};
 
-  // Two back-to-back calls so the second starts from mid-stream RNG
-  // state and non-zero stats (the accumulation-order contract).
+  // Two back-to-back calls so the second runs at the next layer ordinal
+  // and from non-zero stats (the accumulation-order contract).
   for (int call = 0; call < 2; ++call) {
     legacy.mvm_batch(w.data(), m, k, x.data(), p, y_legacy.data(),
                      legacy_session);
@@ -181,10 +183,9 @@ TEST(PackedRomWeights, BoundariesOnlyPackingForExactCost) {
   const CimMacro macro(default_rom_macro());
   std::vector<std::uint8_t> x(128, 1);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
-  Rng rng(1);
   MacroRunStats stats;
   EXPECT_THROW(
-      macro.mvm_packed(bounds, 0, x.data(), y.data(), rng, stats),
+      macro.mvm_packed(bounds, 0, x.data(), y.data(), /*noise_key=*/1, stats),
       std::runtime_error);
 }
 
@@ -232,9 +233,9 @@ TEST(PackedMvm, AnalogBitIdenticalMultiTile) {
 }
 
 TEST(PackedMvm, AnalogBitIdenticalNoiseFree) {
-  // sigma_cell = 0 and ADC noise = 0: the packed path switches to the
-  // draw-free table transfer; outputs and stats must still match the
-  // legacy path exactly.
+  // sigma_cell = 0 and ADC noise = 0: every read takes the ideal code of
+  // its count; outputs and stats must still match the legacy path
+  // exactly.
   expect_paths_identical(noise_free_rom(), MacroMvmEngine::Mode::kAnalog,
                          /*m=*/24, /*k=*/128, /*p=*/5, /*seed=*/105);
   expect_paths_identical(noise_free_rom(), MacroMvmEngine::Mode::kAnalog,
@@ -266,6 +267,101 @@ TEST(PackedMvm, ExactCostBitIdenticalNarrowWeightBits) {
   cfg.geometry.weight_bits = 4;
   expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,
                          /*m=*/8, /*k=*/128, /*p=*/4, /*seed=*/110);
+}
+
+TEST(NoiseKeys, RomAndSramNeverShareAStream) {
+  // Keys hash the macro kind, so no (seed, coordinates) of one engine
+  // reproduces a stream of the other. Seeds include s ^ 0x5A5A: salting
+  // the SRAM seed by XOR instead would make SRAM(s) replay ROM(s ^ 0x5A5A).
+  const std::uint64_t seeds[] = {0, 1, 2024, 2024 ^ 0x5A5A, 0x5A5A, 777};
+  const auto keys = [&](MacroKind kind) {
+    std::unordered_set<std::uint64_t> out;
+    for (const std::uint64_t seed : seeds) {
+      for (int image = 0; image < 3; ++image) {
+        for (std::uint64_t layer = 0; layer < 4; ++layer) {
+          for (int tile = 0; tile < 3; ++tile) {
+            for (int pixel = 0; pixel < 16; ++pixel) {
+              out.insert(mvm_noise_key(image_noise_key(seed, image), kind,
+                                       layer, tile, pixel));
+            }
+          }
+        }
+      }
+    }
+    return out;
+  };
+  const auto rom = keys(MacroKind::kRom);
+  const auto sram = keys(MacroKind::kSram);
+  EXPECT_EQ(rom.size(), 6u * 3 * 4 * 3 * 16) << "keys collide within ROM";
+  for (const std::uint64_t k : sram) {
+    ASSERT_EQ(rom.count(k), 0u) << "an SRAM key replays a ROM stream";
+  }
+
+  // End to end: the same analog macro tagged ROM vs SRAM reads the same
+  // workload with different noise under one set of keys. (SRAM noise:
+  // at the ROM default, codes almost never leave the ideal code.)
+  MacroConfig as_rom = default_sram_macro();
+  as_rom.kind = MacroKind::kRom;
+  const CimMacro rom_macro(as_rom);
+  const CimMacro sram_macro(default_sram_macro());
+  const MacroMvmEngine rom_engine(rom_macro, MacroMvmEngine::Mode::kAnalog);
+  const MacroMvmEngine sram_engine(sram_macro, MacroMvmEngine::Mode::kAnalog);
+  const int m = 16;
+  const int k = 128;
+  const int p = 8;
+  const auto w = random_weights(m, k, 111);
+  const auto x = random_acts(k, p, 111);
+  const auto run = [&](const MacroMvmEngine& engine) {
+    NoiseKeys noise;
+    noise.images = {image_noise_key(2024, 0)};
+    MacroRunStats stats;
+    MvmSession session{&noise, &stats, nullptr};
+    std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
+    engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
+    return y;
+  };
+  EXPECT_NE(run(rom_engine), run(sram_engine));
+}
+
+TEST(NoiseKeys, ColumnsSplitOverImagesInOrder) {
+  // One call over two images equals two one-image calls: column col is
+  // pixel col % pixels of image col / pixels.
+  const CimMacro macro(default_rom_macro());
+  PackedWeightsCache cache;
+  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog, &cache);
+  const int m = 8;
+  const int k = 100;
+  const int pixels = 3;
+  const auto w = random_weights(m, k, 112);
+  const auto x = random_acts(k, 2 * pixels, 112);
+  NoiseKeys both;
+  both.images = {image_noise_key(9, 0), image_noise_key(9, 1)};
+  MacroRunStats stats;
+  MvmSession session{&both, &stats, nullptr};
+  std::vector<std::int32_t> y(static_cast<std::size_t>(m) * 2 * pixels);
+  engine.mvm_batch(w.data(), m, k, x.data(), 2 * pixels, y.data(), session);
+  for (int image = 0; image < 2; ++image) {
+    std::vector<std::uint8_t> xi(static_cast<std::size_t>(k) * pixels);
+    for (int i = 0; i < k; ++i) {
+      for (int c = 0; c < pixels; ++c) {
+        xi[static_cast<std::size_t>(i) * pixels + c] =
+            x[static_cast<std::size_t>(i) * 2 * pixels + image * pixels + c];
+      }
+    }
+    NoiseKeys one;
+    one.images = {image_noise_key(9, image)};
+    MvmSession single{&one, &stats, nullptr};
+    std::vector<std::int32_t> yi(static_cast<std::size_t>(m) * pixels);
+    engine.mvm_batch(w.data(), m, k, xi.data(), pixels, yi.data(), single);
+    for (int j = 0; j < m; ++j) {
+      for (int c = 0; c < pixels; ++c) {
+        EXPECT_EQ(yi[static_cast<std::size_t>(j) * pixels + c],
+                  y[static_cast<std::size_t>(j) * 2 * pixels +
+                    image * pixels + c])
+            << "image " << image << " row " << j << " pixel " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -171,7 +171,7 @@ TEST(Runtime, ScratchReuseIsDeterministic) {
 TEST(Runtime, PackedPlanMatchesLegacyEnginesAcrossResidency) {
   // The plan executes through cache-backed (packed) engines. Re-running
   // the same lowered graph through cache-free engines — the pre-packing
-  // legacy path — with identically seeded noise streams must produce
+  // legacy path — with identically keyed noise must produce
   // bit-identical outputs and stats, across mixed ROM/SRAM residency.
   for (const auto mode :
        {MacroMvmEngine::Mode::kAnalog, MacroMvmEngine::Mode::kExactCost}) {
@@ -185,20 +185,22 @@ TEST(Runtime, PackedPlanMatchesLegacyEnginesAcrossResidency) {
     ExecutionContext ctx(*plan, seed);
     const Tensor via_packed = ctx.infer(xs[0]);
 
-    // Legacy engines over the same macros, no packed cache; sessions
-    // seeded exactly like ExecutionContext wires them (the SRAM stream
-    // is salted with 0x5A5A).
+    // Legacy engines over the same macros, no packed cache; noise keyed
+    // exactly like ExecutionContext wires it (one key set shared by both
+    // engines, which hash their macro kind in).
     const MacroMvmEngine legacy_rom(plan->rom_macro(), mode);
     const MacroMvmEngine legacy_sram(plan->sram_macro(), mode);
-    Rng rom_rng(seed);
-    Rng sram_rng(seed ^ 0x5A5A);
+    NoiseKeys keys;
+    for (int i = 0; i < xs[0].shape()[0]; ++i) {
+      keys.images.push_back(image_noise_key(seed, i));
+    }
     MacroRunStats rom_stats, sram_stats;
     MvmScratch scratch;
     MvmBinding binding;
     binding.slot(EngineKind::kRom) = {&legacy_rom,
-                                      {&rom_rng, &rom_stats, &scratch}};
+                                      {&keys, &rom_stats, &scratch}};
     binding.slot(EngineKind::kSram) = {&legacy_sram,
-                                       {&sram_rng, &sram_stats, &scratch}};
+                                       {&keys, &sram_stats, &scratch}};
     Tensor via_legacy;
     {
       MvmBinding::Scope scope(binding);

@@ -1,9 +1,9 @@
 // Serving-scheduler semantics (src/serve/): priority ordering under
 // contention, deadline expiry failing fast without skewing served-work
 // metrics, admission control, graceful shutdown draining by priority,
-// telemetry plumbing — and the determinism contract the scheduler
-// inherits from the FIFO server: max_microbatch = 1 stays bit-identical
-// to serial ExecutionContext runs.
+// telemetry plumbing — and the determinism contract: every request is
+// bit-identical to a serial ExecutionContext run, at max_microbatch = 1
+// and when fused into larger micro-batches.
 
 #include <gtest/gtest.h>
 
@@ -81,10 +81,8 @@ Tensor make_input(std::uint64_t seed, std::vector<int> shape) {
   return Tensor::rand_uniform(shape, rng, 0.0f, 1.0f);
 }
 
-/// ~50+ ms of work for one analog-mode worker on this model: the
-/// "blocker" that keeps a single-worker scheduler busy while the queue
-/// builds up. All deadline margins below assume the blocker outlasts
-/// them by an order of magnitude.
+/// The "blocker": a 32-image request that a HangOnce-gated worker holds
+/// while the queue builds up behind it.
 Tensor make_blocker_input() { return make_input(7, {32, 3, 8, 8}); }
 
 ServeRequest make_queued(std::uint64_t id, Priority p, std::vector<int> shape,
@@ -109,6 +107,56 @@ ServeRequest make_queued(std::uint64_t id, Priority p, std::vector<int> shape,
   }
   return ::testing::AssertionSuccess();
 }
+
+/// Shared test fixture for wedging exactly one worker inside the
+/// TEST-ONLY fault hook: the first batch picked anywhere after arming
+/// (armed from the start by default) blocks until release(); every
+/// later pick runs normally. Tests use it to hold a worker busy for
+/// exactly as long as they need, however fast a forward pass runs.
+/// `exited` flips only after the blocked thread has left the hook body,
+/// so tests can wait for it before the Scheduler (which owns the hook
+/// closure) dies.
+struct HangOnce {
+  std::mutex m;
+  std::condition_variable cv;
+  bool armed = true;
+  bool hung = false;
+  std::atomic<bool> exited{false};
+
+  std::function<void(int)> hook() {
+    return [this](int) {
+      std::unique_lock lock(m);
+      if (!armed) return;
+      armed = false;
+      hung = true;
+      cv.notify_all();
+      cv.wait(lock, [this] { return !hung; });
+      exited.store(true);
+    };
+  }
+  void arm() {
+    std::lock_guard lock(m);
+    armed = true;
+  }
+  void wait_hung() {
+    std::unique_lock lock(m);
+    cv.wait(lock, [this] { return hung; });
+  }
+  void release_and_wait_exit() {
+    {
+      std::lock_guard lock(m);
+      hung = false;
+    }
+    cv.notify_all();
+    for (int i = 0; i < 2500 && !exited.load(); ++i) {
+      std::this_thread::sleep_for(milliseconds(2));
+    }
+    ASSERT_TRUE(exited.load()) << "hung worker never left the fault hook";
+    // Give the released thread a beat to finish unwinding out of the
+    // hook call frame before the closure's owner is destroyed.
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+};
 
 // ------------------------------------------------------- RequestQueue
 
@@ -460,7 +508,7 @@ TEST(Scheduler, MixedPriorityMicrobatchOneBitIdenticalToSerial) {
   std::vector<std::future<Tensor>> futures;
   for (int i = 0; i < kRequests; ++i) {
     // Classes cycle: execution ORDER varies with priority, but each
-    // request's noise stream is pinned to its admission id, so every
+    // request's noise is keyed on its admission id, so every
     // output must still be bit-identical to the serial reference.
     SubmitOptions so;
     so.priority = static_cast<Priority>(i % kPriorityClassCount);
@@ -484,16 +532,63 @@ TEST(Scheduler, MixedPriorityMicrobatchOneBitIdenticalToSerial) {
   }
 }
 
-TEST(Scheduler, PriorityOrderingUnderContention) {
+TEST(Scheduler, FusedMicrobatchesBitIdenticalToSerial) {
+  // Noise follows the image: a request fused into a micro-batch keys its
+  // images on its own seed (noise_seed + id) and their index within the
+  // request, so it reproduces a serial run whatever it was batched with.
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  const std::uint64_t kSeed = 4321;
+  const int kRequests = 9;
+  std::vector<Tensor> inputs;
+  inputs.push_back(make_blocker_input());  // admission id 0
+  for (int i = 1; i < kRequests; ++i) {
+    inputs.push_back(make_input(800 + static_cast<unsigned>(i),
+                                {1 + i % 3, 3, 8, 8}));
+  }
+  std::vector<Tensor> serial_out;
+  for (int i = 0; i < kRequests; ++i) {
+    ExecutionContext ctx(*plan, kSeed + static_cast<std::uint64_t>(i));
+    serial_out.push_back(ctx.infer(inputs[static_cast<std::size_t>(i)]));
+  }
+
+  HangOnce hang;
   SchedulerOptions options;
   options.workers = 1;
+  options.max_microbatch = 4;
+  options.noise_seed = kSeed;
+  options.worker_fault_hook = hang.hook();
+  Scheduler scheduler(*plan, options);
+  std::vector<std::future<Tensor>> futures;
+  futures.push_back(scheduler.submit(inputs[0]));
+  hang.wait_hung();  // the rest queue up behind the held first request
+  for (int i = 1; i < kRequests; ++i) {
+    futures.push_back(scheduler.submit(inputs[static_cast<std::size_t>(i)]));
+  }
+  hang.release_and_wait_exit();
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_TRUE(bit_identical(serial_out[static_cast<std::size_t>(i)],
+                              futures[static_cast<std::size_t>(i)].get()))
+        << "request " << i;
+  }
+  scheduler.wait_idle();
+  const MetricsSnapshot snap = scheduler.metrics_snapshot();
+  EXPECT_EQ(snap.max_batch_occupancy, 4) << "requests must have been fused";
+  EXPECT_EQ(snap.batches, 3u);  // the held request, then 4 + 4 fused
+}
+
+TEST(Scheduler, PriorityOrderingUnderContention) {
+  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  HangOnce hang;
+  SchedulerOptions options;
+  options.workers = 1;
+  options.worker_fault_hook = hang.hook();
   Scheduler scheduler(*plan, options);
 
   // Occupy the single worker, then queue best-effort BEFORE interactive:
   // the scheduler must serve interactive first anyway.
   auto blocker = scheduler.submit(make_blocker_input(),
                                   {Priority::kInteractive, milliseconds(0)});
+  hang.wait_hung();
   std::vector<std::shared_future<Tensor>> best_effort, interactive;
   for (int i = 0; i < 3; ++i) {
     best_effort.push_back(
@@ -509,6 +604,7 @@ TEST(Scheduler, PriorityOrderingUnderContention) {
                     {Priority::kInteractive, milliseconds(0)})
             .share());
   }
+  hang.release_and_wait_exit();
 
   best_effort[0].wait();
   // The moment any best-effort output exists, every interactive request
@@ -540,17 +636,22 @@ TEST(Scheduler, QueuedDeadlineExpiryFailsFastWithoutSkewingMetrics) {
   ExecutionContext ref_ctx(*plan, kSeed + 0);
   Tensor reference = ref_ctx.infer(blocker_input);
 
+  HangOnce hang;
   SchedulerOptions options;
   options.workers = 1;
   options.max_microbatch = 1;
   options.noise_seed = kSeed;
+  options.worker_fault_hook = hang.hook();
   Scheduler scheduler(*plan, options);
   auto blocker = scheduler.submit(std::move(blocker_input),
                                   {Priority::kInteractive, milliseconds(0)});
-  // The victim's 3 ms deadline passes long before the ~50 ms blocker
-  // finishes: it must be canceled, never executed.
+  hang.wait_hung();
+  // The victim's 3 ms deadline passes while the blocker holds the
+  // worker: it must be canceled, never executed.
   auto victim = scheduler.submit(make_input(9, {1, 3, 8, 8}),
                                  {Priority::kBestEffort, milliseconds(3)});
+  std::this_thread::sleep_for(milliseconds(10));
+  hang.release_and_wait_exit();
   EXPECT_THROW((void)victim.get(), DeadlineExpiredError);
   EXPECT_TRUE(bit_identical(reference, blocker.get()));
   scheduler.wait_idle();
@@ -605,20 +706,24 @@ TEST(Scheduler, AdmissionRejectsDeadAndInfeasibleDeadlinesWithoutBurningIds) {
 
 TEST(Scheduler, AdmissionEnforcesPerLaneDepthCap) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  HangOnce hang;
   SchedulerOptions options;
   options.workers = 1;
   options.max_queue_depth = 1;
+  options.worker_fault_hook = hang.hook();
   Scheduler scheduler(*plan, options);
 
-  // Blocker occupies the single worker for ~50 ms; the batch lane then
-  // holds one queued request, so the next submission overflows the cap.
+  // Blocker holds the single worker; the batch lane then holds one
+  // queued request, so the next submission overflows the cap.
   auto blocker = scheduler.submit(make_blocker_input(),
                                   {Priority::kInteractive, milliseconds(0)});
+  hang.wait_hung();
   auto queued = scheduler.submit(make_input(1, {1, 3, 8, 8}),
                                  {Priority::kBatch, milliseconds(0)});
   auto overflow = scheduler.submit(make_input(2, {1, 3, 8, 8}),
                                    {Priority::kBatch, milliseconds(0)});
   EXPECT_THROW((void)overflow.get(), AdmissionError);
+  hang.release_and_wait_exit();
   (void)blocker.get();
   (void)queued.get();
   scheduler.wait_idle();
@@ -631,13 +736,16 @@ TEST(Scheduler, AdmissionEnforcesPerLaneDepthCap) {
 
 TEST(Scheduler, GracefulShutdownDrainsByPriority) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  HangOnce hang;
   SchedulerOptions options;
   options.workers = 1;
+  options.worker_fault_hook = hang.hook();
   Scheduler scheduler(*plan, options);
 
   auto blocker = scheduler.submit(make_blocker_input(),
                                   {Priority::kInteractive, milliseconds(0)})
                      .share();
+  hang.wait_hung();
   std::vector<std::shared_future<Tensor>> best_effort, interactive;
   for (int i = 0; i < 3; ++i) {
     best_effort.push_back(
@@ -667,6 +775,7 @@ TEST(Scheduler, GracefulShutdownDrainsByPriority) {
     interactive_served_first.store(all_ready);
   });
 
+  hang.release_and_wait_exit();
   scheduler.shutdown();  // graceful: drains everything queued, by priority
   observer.join();
   EXPECT_TRUE(interactive_served_first.load());
@@ -687,49 +796,6 @@ TEST(Scheduler, GracefulShutdownDrainsByPriority) {
 }
 
 // --------------------------------------- shutdown races a hung worker
-
-/// Shared test fixture for wedging exactly one worker inside the
-/// TEST-ONLY fault hook: the first batch picked anywhere blocks until
-/// release(); every later pick runs normally. `exited` flips only
-/// after the blocked thread has left the hook body, so tests can wait
-/// for it before the Scheduler (which owns the hook closure) dies.
-struct HangOnce {
-  std::mutex m;
-  std::condition_variable cv;
-  bool armed = true;
-  bool hung = false;
-  std::atomic<bool> exited{false};
-
-  std::function<void(int)> hook() {
-    return [this](int) {
-      std::unique_lock lock(m);
-      if (!armed) return;
-      armed = false;
-      hung = true;
-      cv.notify_all();
-      cv.wait(lock, [this] { return !hung; });
-      exited.store(true);
-    };
-  }
-  void wait_hung() {
-    std::unique_lock lock(m);
-    cv.wait(lock, [this] { return hung; });
-  }
-  void release_and_wait_exit() {
-    {
-      std::lock_guard lock(m);
-      hung = false;
-    }
-    cv.notify_all();
-    for (int i = 0; i < 2500 && !exited.load(); ++i) {
-      std::this_thread::sleep_for(milliseconds(2));
-    }
-    ASSERT_TRUE(exited.load()) << "hung worker never left the fault hook";
-    // Give the released thread a beat to finish unwinding out of the
-    // hook call frame before the closure's owner is destroyed.
-    std::this_thread::sleep_for(milliseconds(5));
-  }
-};
 
 TEST(SchedulerShutdownRace, AbandonsHungWorkerAndFailsResidualQueue) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
@@ -833,17 +899,19 @@ TEST(SchedulerWeighted, BestEffortBoundedUnderInteractiveFlood) {
   options.workers = 1;
   options.max_microbatch = 1;
   options.lane_weights = {4.0, 2.0, 1.0};
+  HangOnce hang;
+  options.worker_fault_hook = hang.hook();
   Scheduler scheduler(*plan, options);
 
   // Occupy the single worker, then queue an interactive flood AND two
   // best-effort requests. Under strict priority the flood would starve
   // them until it fully drains; under DWRR each best-effort request is
-  // served within one rotation. Flood requests carry 4 images (~6 ms of
-  // analog work each) so the backlog still holds many tens of ms of
-  // work when we sample below — the assertions tolerate a heavily
-  // descheduled test thread.
+  // served within one rotation. Flood requests carry 4 images so the
+  // backlog still holds many ms of work when we sample below — the
+  // assertions tolerate a descheduled test thread.
   auto blocker = scheduler.submit(make_blocker_input(),
                                   {Priority::kInteractive, milliseconds(0)});
+  hang.wait_hung();
   std::vector<std::shared_future<Tensor>> flood;
   for (int i = 0; i < 20; ++i) {
     flood.push_back(
@@ -860,11 +928,12 @@ TEST(SchedulerWeighted, BestEffortBoundedUnderInteractiveFlood) {
                     {Priority::kBestEffort, milliseconds(0)})
             .share());
   }
+  hang.release_and_wait_exit();
 
   // Weights {4, _, 1} in image units with 4-image flood requests means
   // one flood request per rotation: both best-effort singles are served
   // within the first ~3 services after the blocker, leaving >= 17 flood
-  // requests (~100 ms of work) still queued when this returns.
+  // requests still queued when this returns.
   best_effort[1].wait();
   EXPECT_EQ(flood[19].wait_for(std::chrono::seconds(0)),
             std::future_status::timeout)
@@ -903,8 +972,8 @@ TEST(SchedulerWeighted, MicrobatchOneStaysBitIdenticalToSerial) {
         ctx.infer(inputs[static_cast<std::size_t>(i)]);
   }
 
-  // Weighted-fair reorders SERVICE, not noise streams: admission ids
-  // still pin each request's stream, so outputs stay bit-identical.
+  // Weighted-fair reorders SERVICE, not noise: admission ids still key
+  // each request's noise, so outputs stay bit-identical.
   SchedulerOptions options;
   options.workers = 2;
   options.max_microbatch = 1;
@@ -931,10 +1000,12 @@ TEST(SchedulerWeighted, ReservedWorkerKeepsInteractiveHeadroom) {
   options.workers = 2;
   options.max_microbatch = 1;  // keep the three blockers as three batches
   options.lane_reservations = {1, 0, 0};  // 1 interactive-only + 1 shared
+  HangOnce hang;
+  options.worker_fault_hook = hang.hook();
   Scheduler scheduler(*plan, options);
 
-  // Three ~50 ms batch blockers: the shared worker takes the first; the
-  // reserved worker must leave the other two queued.
+  // Three batch blockers: the shared worker takes the first and is held
+  // there; the reserved worker must leave the other two queued.
   std::vector<std::shared_future<Tensor>> blockers;
   for (int i = 0; i < 3; ++i) {
     blockers.push_back(scheduler
@@ -942,6 +1013,7 @@ TEST(SchedulerWeighted, ReservedWorkerKeepsInteractiveHeadroom) {
                                    {Priority::kBatch, milliseconds(0)})
                            .share());
   }
+  hang.wait_hung();
   std::this_thread::sleep_for(milliseconds(10));
   const MetricsSnapshot mid = scheduler.metrics_snapshot();
   EXPECT_EQ(
@@ -957,6 +1029,7 @@ TEST(SchedulerWeighted, ReservedWorkerKeepsInteractiveHeadroom) {
   EXPECT_EQ(blockers[1].wait_for(std::chrono::seconds(0)),
             std::future_status::timeout)
       << "interactive should complete before the queued batch work";
+  hang.release_and_wait_exit();
 
   for (auto& f : blockers) (void)f.get();
   scheduler.wait_idle();
@@ -972,9 +1045,12 @@ TEST(SchedulerWeighted, ReservedWorkerKeepsInteractiveHeadroom) {
 TEST(SchedulerWeighted, SloAutoBatchingCapsLaneOccupancy) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
   for (const bool tight_slo : {false, true}) {
+    HangOnce hang;
+    hang.armed = false;  // the warmup runs freely
     SchedulerOptions options;
     options.workers = 1;
     options.max_microbatch = 8;
+    options.worker_fault_hook = hang.hook();
     if (tight_slo) {
       // A 1 ns budget forces clamp(slo / est, 1, 8) = 1 once the EWMA
       // estimate exists: the batch lane stops fusing entirely.
@@ -985,14 +1061,17 @@ TEST(SchedulerWeighted, SloAutoBatchingCapsLaneOccupancy) {
     // Warmup populates the EWMA per-image estimate the SLO cap divides.
     (void)scheduler.submit(make_input(1, {1, 3, 8, 8})).get();
     // Blocker pins the worker while six batch requests queue up.
+    hang.arm();
     auto blocker = scheduler.submit(make_blocker_input(),
                                     {Priority::kInteractive,
                                      milliseconds(0)});
+    hang.wait_hung();
     std::vector<std::future<Tensor>> queued;
     for (int i = 0; i < 6; ++i) {
       queued.push_back(scheduler.submit(
           make_input(900 + static_cast<unsigned>(i), {1, 3, 8, 8})));
     }
+    hang.release_and_wait_exit();
     (void)blocker.get();
     for (auto& f : queued) (void)f.get();
     scheduler.wait_idle();
@@ -1062,9 +1141,12 @@ TEST(Prometheus, LabelEscaping) {
 
 TEST(Prometheus, ExpositionParsesAndBucketsAreMonotone) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  HangOnce hang;
+  hang.armed = false;  // the warmup runs freely
   SchedulerOptions options;
   options.workers = 1;
   options.max_microbatch = 4;
+  options.worker_fault_hook = hang.hook();
   // Strict weights so the interactive blocker is guaranteed to occupy
   // the worker while the best-effort victim's deadline dies (under
   // finite weights DWRR would rightly serve the cheap victim first).
@@ -1073,14 +1155,18 @@ TEST(Prometheus, ExpositionParsesAndBucketsAreMonotone) {
   // Serve work on two lanes and expire a queued request so the served,
   // expired AND histogram families all carry non-zero samples.
   (void)scheduler.submit(make_input(1, {1, 3, 8, 8})).get();
+  hang.arm();
   auto blocker = scheduler.submit(make_blocker_input(),
                                   {Priority::kInteractive, milliseconds(0)});
+  hang.wait_hung();
   // The victim's deadline must clear the admission feasibility check
   // (rolling per-image estimate, a few ms — more under sanitizers) yet
-  // die long before the ~32-image blocker releases the worker, so it
-  // expires IN QUEUE rather than being rejected up front.
+  // die while the blocker holds the worker, so it expires IN QUEUE
+  // rather than being rejected up front.
   auto victim = scheduler.submit(make_input(2, {1, 3, 8, 8}),
                                  {Priority::kBestEffort, milliseconds(25)});
+  std::this_thread::sleep_for(milliseconds(40));
+  hang.release_and_wait_exit();
   EXPECT_THROW((void)victim.get(), DeadlineExpiredError);
   (void)blocker.get();
   scheduler.wait_idle();

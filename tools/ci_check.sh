@@ -9,7 +9,9 @@
 #   2. tsan     — a ThreadSanitizer build (<build-dir>-tsan) running the
 #                 concurrency-heavy labels: serve | trace | fault;
 #   3. asan     — an AddressSanitizer build (<build-dir>-asan) running
-#                 the wire/format labels: http | serde.
+#                 the wire/format labels and the macro kernels (whose
+#                 count-indexed code tables are an out-of-bounds
+#                 hazard): http | serde | macro.
 #
 # Every gate runs even after an earlier one fails, so a single pass
 # reports ALL the breakage; the exit code is non-zero when any gate
@@ -67,7 +69,7 @@ run_gate() {
 
 run_gate tier-1 "$build" ""
 run_gate tsan "${build}-tsan" "-DYOLOC_TSAN=ON" -L "serve|trace|fault"
-run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde"
+run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde|macro"
 
 echo
 echo "== ci_check summary =="

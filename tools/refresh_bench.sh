@@ -115,10 +115,13 @@ tag_row open_under_capacity "$workdir/under.json"
 stop_server
 
 # Open loop over a tiny admission queue: 429s expected, not collapse.
-start_server --max-queue-depth 2
+# Every /infer holds an HTTP handler thread until it completes, so 16
+# handlers and 16 senders put more requests in flight than 2 workers
+# plus the 2-deep lane queues take; 4 would never overflow the queue.
+start_server --max-queue-depth 2 --handler-threads 16
 over_rate=$(awk -v c="$capacity" 'BEGIN { r = c * 3; if (r < 10) r = 10; printf "%.0f", r }')
 "$build/yoloc_loadgen" --port-file "$port_file" --mode open \
-    --rate "$over_rate" --concurrency 4 --duration-s "$http_seconds" \
+    --rate "$over_rate" --concurrency 16 --duration-s "$http_seconds" \
     --priority-mix 2,1,1 | grep '^{' > "$workdir/over.json"
 tag_row open_over_tiny_queue "$workdir/over.json"
 stop_server

@@ -9,8 +9,8 @@
 // `yoloc_metrics_dump --record-out=...` or any scheduler running with
 // record_admissions); --plan is a .yolocplan deployment image. The
 // replay submits the recorded admission stream single-threaded in
-// record order — reproducing admission ids, and with them the
-// noise-stream offsets behind the determinism contract — against a
+// record order — reproducing admission ids, and with them the noise
+// seeds behind the determinism contract — against a
 // fresh Scheduler, then prints the recorded-vs-replayed per-class
 // outcomes and the usual metrics snapshot.
 //
