@@ -28,8 +28,8 @@ class Pool {
   }
 
   void run(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    // Top-level regions may now arrive from several threads at once (the
-    // InferenceServer workers); serialize them so one region's fn_/n_
+    // Top-level regions may arrive from several threads at once (the
+    // scheduler's workers); serialize them so one region's fn_/n_
     // cannot be overwritten while workers are still draining it.
     std::lock_guard submit_lock(submit_mutex_);
     std::unique_lock lock(mutex_);

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/check.hpp"
+#include "common/json_escape.hpp"
 
 namespace yoloc {
 
@@ -446,7 +447,7 @@ std::string MetricsSnapshot::to_json() const {
     // The reason is generated internally (no quotes/backslashes), but
     // escape anyway so the object can never be malformed.
     out += ",\"degraded_reason\":\"";
-    out += prometheus_escape_label(resilience.degraded_reason);
+    out += json_escape(resilience.degraded_reason);
     out += '"';
   }
   out += "}}";

@@ -141,6 +141,13 @@ class Scheduler {
   /// NOT consume a request id.
   std::future<Tensor> submit(Tensor images, SubmitOptions options = {});
 
+  /// Synchronous convenience: row i of `images` (rank-4 NCHW) is served
+  /// as its own default-lane request, keyed noise_seed + id like any
+  /// submission (id = its admission id, so noise_seed + i on a fresh
+  /// scheduler with no other traffic). Waits for every row and re-stacks
+  /// the outputs in row order; the first failed row's error is rethrown.
+  Tensor infer(const Tensor& images);
+
   /// Block until every accepted request has resolved (served, failed,
   /// or expired) — futures fulfilled AND metrics/stats accounting
   /// settled.

@@ -15,6 +15,7 @@
 #include "common/binio.hpp"
 #include "common/check.hpp"
 #include "common/crc32.hpp"
+#include "common/json_escape.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -305,6 +306,18 @@ TEST(Base64, StrictDecoderRejectsMalformedInput) {
   // And the empty string is valid.
   EXPECT_TRUE(base64_decode("", out));
   EXPECT_TRUE(out.empty());
+}
+
+TEST(JsonEscape, EscapesQuotesBackslashAndControlCharacters) {
+  EXPECT_EQ(json_escape("plain text"), "plain text");
+  EXPECT_EQ(json_escape(""), "");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape("x\x01y\x1f"), "x\\u0001y\\u001f");
+  // An embedded NUL is escaped, not treated as the end of the string.
+  EXPECT_EQ(json_escape(std::string_view("a\0b", 3)), "a\\u0000b");
+  // Bytes >= 0x20, including UTF-8 sequences, pass through unchanged.
+  EXPECT_EQ(json_escape("\x7f\xc2\xb5s"), "\x7f\xc2\xb5s");
 }
 
 }  // namespace
