@@ -30,8 +30,9 @@ void MacroRunStats::accumulate(const MacroRunStats& other) {
   latency_ns += other.latency_ns;
 }
 
-CimMacro::CimMacro(MacroConfig config)
+CimMacro::CimMacro(MacroConfig config, AnalogKernel kernel)
     : config_(std::move(config)),
+      kernel_(kernel),
       array_(config_.bitline, config_.adc, config_.energy,
              config_.geometry.rows_per_activation),
       table_(array_) {
@@ -49,6 +50,15 @@ CimMacro::CimMacro(MacroConfig config)
   YOLOC_CHECK(config_.geometry.rows % config_.geometry.rows_per_activation ==
                   0,
               "cim macro: rows must divide evenly into activation groups");
+  // Both kernels index the table by ON-cell count, and a count is at
+  // most one group's rows. The vector kernel's gathers are not
+  // bounds-checked by AddressSanitizer, so the bound is pinned here.
+  YOLOC_CHECK(table_.max_count() == config_.geometry.rows_per_activation,
+              "cim macro: read table does not cover one activation group");
+  YOLOC_CHECK(kernel_ == AnalogKernel::kScalar ||
+                  best_analog_kernel() == AnalogKernel::kAvx512,
+              "cim macro: the AVX-512 kernel is not available on this "
+              "host or build");
 
   if (config_.faults.any()) {
     faults_ = std::make_shared<FaultModel>(
@@ -227,7 +237,6 @@ void CimMacro::check_packed_tile(const PackedRomWeights& packed,
               "cim macro: packed tile index out of range");
 }
 
-YOLOC_POPCNT_CLONES
 void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
                           const std::uint8_t* x, std::int32_t* y,
                           std::uint64_t noise_key,
@@ -237,6 +246,30 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
               "cim macro: analog packed path needs weight bit-planes "
               "(packing was built boundaries-only for exact-cost)");
   const PackedRomWeights::Tile& tile = packed.tile(tile_index);
+
+  // Fault overlay — same local-coordinate pattern as the legacy path
+  // (the packed tile's rows ARE the legacy chunk's rows), so outputs and
+  // stats stay bit-identical between the two paths under faults. Only
+  // the scalar kernel applies it.
+  const FaultModel* faults =
+      faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
+  const KernelCounts counts =
+      faults == nullptr && kernel_ == AnalogKernel::kAvx512
+          ? mvm_packed_avx512(packed, tile, x, y, noise_key)
+          : mvm_packed_scalar(packed, tile, x, y, noise_key, faults);
+
+  const std::uint64_t reads = static_cast<std::uint64_t>(packed.m()) *
+                              packed.weight_bits() * packed.input_bits() *
+                              tile.groups;
+  charge_reads(reads, counts.cells, stats);
+  charge_op_costs(packed.m(), tile.k_size, counts.pulses, stats);
+}
+
+YOLOC_POPCNT_CLONES
+CimMacro::KernelCounts CimMacro::mvm_packed_scalar(
+    const PackedRomWeights& packed, const PackedRomWeights::Tile& tile,
+    const std::uint8_t* x, std::int32_t* y, std::uint64_t noise_key,
+    const FaultModel* faults) const {
   const int m = packed.m();
   const int k = tile.k_size;
   const int groups = tile.groups;
@@ -256,23 +289,16 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
                              << shift;
     }
   }
-  std::uint64_t pulses = 0;
+  KernelCounts counts;
   for (int t = 0; t < input_bits; ++t) {
-    pulses += static_cast<std::uint64_t>(xbits[t].count());
+    counts.pulses += static_cast<std::uint64_t>(xbits[t].count());
   }
 
   const double* bcw = packed.bit_cycle_weight();
   const RowMask* gmasks = tile.group_masks.data();
-
-  // Fault overlay — same local-coordinate pattern as the legacy path
-  // (the packed tile's rows ARE the legacy chunk's rows), so outputs and
-  // stats stay bit-identical between the two paths under faults.
-  const FaultModel* faults =
-      faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
   const bool transients = faults != nullptr && faults->has_transients();
 
   std::uint64_t read = 0;
-  std::uint64_t cells = 0;
   for (int j = 0; j < m; ++j) {
     const RowMask* wrow =
         tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
@@ -294,7 +320,7 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
             bcw[static_cast<std::size_t>(b) * input_bits + t];
         for (int grp = 0; grp < groups; ++grp) {
           const int exact = wbt.count_and3(xt, gmasks[grp]);
-          cells += static_cast<std::uint64_t>(exact);
+          counts.cells += static_cast<std::uint64_t>(exact);
           double est = read_estimate(exact, noise_key, read++);
           if (faults != nullptr) {
             est = est * drift.gain + drift.offset_counts;
@@ -305,9 +331,7 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
     }
     y[j] = static_cast<std::int32_t>(std::llround(acc));
   }
-
-  charge_reads(read, cells, stats);
-  charge_op_costs(m, k, pulses, stats);
+  return counts;
 }
 
 void CimMacro::mvm_packed_exact_cost(const PackedRomWeights& packed,

@@ -25,6 +25,18 @@
 //     cannot change. Bit-identical to the legacy path: same outputs and
 //     same stats.
 //
+// mvm_packed runs one of two kernels (AnalogKernel), picked per macro at
+// construction:
+//   * kScalar: one output row at a time. It serves hosts without
+//     AVX-512, ThreadSanitizer builds (which do not compile the vector
+//     kernel) and every call with an active FaultModel.
+//   * kAvx512: eight output rows per vector, one per 64-bit lane. Each
+//     lane counts, hashes, looks up and accumulates its own reads in the
+//     scalar order, so outputs and stats are bit-identical to kScalar.
+//     The kernel is compiled with a target attribute, so portable builds
+//     carry it; best_analog_kernel() picks it once, at run time, when
+//     the CPU has AVX-512 F/BW/DQ/VL.
+//
 // Analog noise is counter-keyed, not streamed. Each ADC read draws one
 // uniform, hash64(noise_key + read), where `read` is the read's index
 // ((j * weight_bits + b) * input_bits + t) * groups + grp within the
@@ -55,9 +67,18 @@ struct MacroRunStats {
   void accumulate(const MacroRunStats& other);
 };
 
+/// Kernels behind CimMacro::mvm_packed (see the header comment).
+enum class AnalogKernel { kScalar, kAvx512 };
+
+/// The fastest analog kernel this host and build run. Decided once.
+[[nodiscard]] AnalogKernel best_analog_kernel();
+
 class CimMacro {
  public:
-  explicit CimMacro(MacroConfig config);
+  /// `kernel` = kAvx512 on a host where best_analog_kernel() is kScalar
+  /// throws.
+  explicit CimMacro(MacroConfig config,
+                    AnalogKernel kernel = best_analog_kernel());
 
   /// Analog-modeled MVM: y (int32, m entries) ~= W (m x k, int8) * x
   /// (k entries, uint8). k must fit the subarray rows. Accumulates
@@ -124,6 +145,22 @@ class CimMacro {
   void check_packed_tile(const PackedRomWeights& packed,
                          int tile_index) const;
 
+  /// What a packed kernel hands back for the cost model: exact ON cells
+  /// over all reads, and wordline pulses of the activation bit-planes.
+  struct KernelCounts {
+    std::uint64_t cells = 0;
+    std::uint64_t pulses = 0;
+  };
+  KernelCounts mvm_packed_scalar(const PackedRomWeights& packed,
+                                 const PackedRomWeights::Tile& tile,
+                                 const std::uint8_t* x, std::int32_t* y,
+                                 std::uint64_t noise_key,
+                                 const FaultModel* faults) const;
+  KernelCounts mvm_packed_avx512(const PackedRomWeights& packed,
+                                 const PackedRomWeights::Tile& tile,
+                                 const std::uint8_t* x, std::int32_t* y,
+                                 std::uint64_t noise_key) const;
+
   /// Conversion + expected precharge energy of `reads` analog reads that
   /// saw `cells` exact ON cells in total.
   void charge_reads(std::uint64_t reads, std::uint64_t cells,
@@ -136,6 +173,7 @@ class CimMacro {
   }
 
   MacroConfig config_;
+  AnalogKernel kernel_;
   CimArrayModel array_;
   ReadCodeTable table_;
   /// Constructed only when config_.faults.any(); shared so macro copies

@@ -89,11 +89,12 @@ std::uint64_t code_threshold(const CimArrayModel::ReadChainConsts& rc, int c,
 }  // namespace
 
 ReadCodeTable::ReadCodeTable(const CimArrayModel& array)
-    : max_count_(array.group_size()) {
+    : max_count_(array.group_size()),
+      stride_((array.group_size() + 16) / 16 * 16) {
   const CimArrayModel::ReadChainConsts rc = array.read_chain_consts();
   const int top = rc.levels - 1;
   const std::size_t counts = static_cast<std::size_t>(max_count_) + 1;
-  lowest_.resize(counts);
+  lowest_.resize(static_cast<std::size_t>(stride_));
   std::vector<std::vector<std::uint64_t>> rows(counts);
   for (int c = 0; c <= max_count_; ++c) {
     const int ideal =
@@ -122,10 +123,11 @@ ReadCodeTable::ReadCodeTable(const CimArrayModel& array)
     lowest_[static_cast<std::size_t>(c)] = lo;
     width_ = std::max(width_, hi - lo);
   }
-  thresholds_.assign(counts * static_cast<std::size_t>(width_), kOne);
+  thresholds_.assign(static_cast<std::size_t>(width_) * stride_, kOne);
   for (std::size_t c = 0; c < counts; ++c) {
-    std::copy(rows[c].begin(), rows[c].end(),
-              thresholds_.begin() + static_cast<std::ptrdiff_t>(c * width_));
+    for (std::size_t i = 0; i < rows[c].size(); ++i) {
+      thresholds_[i * static_cast<std::size_t>(stride_) + c] = rows[c][i];
+    }
   }
 }
 
@@ -134,10 +136,12 @@ double ReadCodeTable::probability(int count, int k) const {
               "read code table: count out of range");
   const int i = k - lowest_[static_cast<std::size_t>(count)];
   if (i < 0 || i > width_) return 0.0;
-  const std::uint64_t* t =
-      thresholds_.data() + static_cast<std::size_t>(count) * width_;
-  const std::uint64_t upper = i < width_ ? t[i] : kOne;
-  const std::uint64_t lower = i > 0 ? t[i - 1] : 0;
+  const auto at = [&](int column) {
+    return thresholds_[static_cast<std::size_t>(column) * stride_ +
+                       static_cast<std::size_t>(count)];
+  };
+  const std::uint64_t upper = i < width_ ? at(i) : kOne;
+  const std::uint64_t lower = i > 0 ? at(i - 1) : 0;
   return std::ldexp(static_cast<double>(upper - lower), -63);
 }
 

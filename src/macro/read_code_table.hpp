@@ -19,6 +19,10 @@
 // cumulative thresholds at 2^-63 resolution, so one 63-bit uniform picks
 // the code with width() branch-free compares. A noise-free chain has
 // width 0: the code is the ideal ADC code of the count.
+//
+// Both arrays are laid out per threshold column, count-minor, and padded
+// to stride() counts (a multiple of 16), so a vector kernel can hold the
+// rows of counts 0-15 in registers and look them up by permutation.
 
 #include <cstdint>
 #include <vector>
@@ -36,10 +40,11 @@ class ReadCodeTable {
   /// given a uniform 64-bit draw `u`.
   [[nodiscard]] int code(int count, std::uint64_t u) const {
     const std::uint64_t v = u >> 1;
-    const std::uint64_t* t =
-        thresholds_.data() + static_cast<std::size_t>(count) * width_;
+    const std::uint64_t* t = thresholds_.data() + count;
     int c = lowest_[static_cast<std::size_t>(count)];
-    for (int i = 0; i < width_; ++i) c += v >= t[i] ? 1 : 0;
+    for (int i = 0; i < width_; ++i) {
+      c += v >= t[static_cast<std::size_t>(i) * stride_] ? 1 : 0;
+    }
     return c;
   }
 
@@ -50,13 +55,26 @@ class ReadCodeTable {
   /// Threshold compares per read.
   [[nodiscard]] int width() const { return width_; }
 
+  /// Raw arrays for vector kernels that evaluate code() for several
+  /// counts at once: lowest_codes()[count] and
+  /// thresholds()[i * stride() + count] for 0 <= i < width(). Entries
+  /// past max_count() up to stride() are padding.
+  [[nodiscard]] int stride() const { return stride_; }
+  [[nodiscard]] const int* lowest_codes() const { return lowest_.data(); }
+  [[nodiscard]] const std::uint64_t* thresholds() const {
+    return thresholds_.data();
+  }
+
  private:
   int max_count_ = 0;
   int width_ = 0;
+  /// max_count + 1 rounded up to a multiple of 16.
+  int stride_ = 0;
   /// Per count: the lowest code of non-zero probability.
   std::vector<int> lowest_;
-  /// (max_count + 1) x width cumulative thresholds; 2^63 pads rows
-  /// narrower than width (a 63-bit draw never reaches it).
+  /// width x stride cumulative thresholds, column i of count c at
+  /// i * stride + c; 2^63 pads counts with fewer than width thresholds
+  /// (a 63-bit draw never reaches it).
   std::vector<std::uint64_t> thresholds_;
 };
 

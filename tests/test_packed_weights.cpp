@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -267,6 +269,116 @@ TEST(PackedMvm, ExactCostBitIdenticalNarrowWeightBits) {
   cfg.geometry.weight_bits = 4;
   expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,
                          /*m=*/8, /*k=*/128, /*p=*/4, /*seed=*/110);
+}
+
+/// Runs every tile of one packed (m x k) matrix through two macros'
+/// mvm_packed over `columns` activation vectors, one noise key each, and
+/// checks outputs and accumulated stats match exactly after every call.
+void expect_kernels_identical(const CimMacro& a, const CimMacro& b, int m,
+                              int k, int columns, std::uint64_t seed,
+                              const std::string& what) {
+  const auto w = random_weights(m, k, seed);
+  const auto x = random_acts(k, columns, seed);
+  const PackedRomWeights packed(w.data(), m, k, a.config().geometry);
+  MacroRunStats stats_a, stats_b;
+  std::vector<std::int32_t> y_a(static_cast<std::size_t>(m));
+  std::vector<std::int32_t> y_b(static_cast<std::size_t>(m));
+  Rng keys(seed ^ 0xC0FFEE);
+  for (int tile = 0; tile < packed.tile_count(); ++tile) {
+    const auto& t = packed.tile(tile);
+    for (int col = 0; col < columns; ++col) {
+      const std::uint8_t* xt =
+          x.data() + static_cast<std::size_t>(col) * k + t.k0;
+      const std::uint64_t key = keys();
+      a.mvm_packed(packed, tile, xt, y_a.data(), key, stats_a);
+      b.mvm_packed(packed, tile, xt, y_b.data(), key, stats_b);
+      ASSERT_EQ(y_a, y_b) << what << " tile " << tile << " column " << col;
+      expect_stats_identical(stats_a, stats_b);
+    }
+  }
+}
+
+TEST(AnalogKernels, Avx512MatchesScalarOverRandomGeometries) {
+  if (best_analog_kernel() != AnalogKernel::kAvx512) {
+    GTEST_SKIP() << "no AVX-512 F/BW/DQ/VL on this host (or a TSAN build)";
+  }
+  const int rows_options[] = {32, 64, 128};
+  // 4 is the one group size here not made of whole bytes: it takes the
+  // vector kernel's bit-mask count.
+  const int group_options[] = {4, 8, 16, 32};
+  const int m_options[] = {1, 7, 8, 9, 17};
+  Rng rng(2026);
+  for (int trial = 0; trial < 90; ++trial) {
+    // ROM default noise, SRAM default noise and a noise-free ROM, in turn.
+    MacroConfig cfg = trial % 3 == 1 ? default_sram_macro()
+                      : trial % 3 == 2 ? noise_free_rom()
+                                       : default_rom_macro();
+    MacroGeometry& g = cfg.geometry;
+    g.input_bits = rng.uniform_int(1, 8);
+    g.weight_bits = rng.uniform_int(1, 8);
+    g.rows = rows_options[rng.uniform_int(0, 2)];
+    g.rows_per_activation = group_options[rng.uniform_int(0, 3)];
+    const int m = m_options[rng.uniform_int(0, 4)];
+    // One k in four is below one activation group, one in four sits at
+    // the edge of the 64-row lane or the tile; the rest span one to three
+    // row tiles and are rarely a multiple of rows.
+    const int edges[] = {63, 64, 65, 127, 128, 129};
+    const int pick = rng.uniform_int(0, 3);
+    const int k = pick == 0   ? rng.uniform_int(1, g.rows_per_activation - 1)
+                  : pick == 1 ? edges[rng.uniform_int(0, 5)]
+                              : rng.uniform_int(1, 3 * g.rows);
+    const CimMacro scalar(cfg, AnalogKernel::kScalar);
+    const CimMacro vector(cfg, AnalogKernel::kAvx512);
+    std::ostringstream what;
+    what << "trial " << trial << " (ib " << g.input_bits << ", wb "
+         << g.weight_bits << ", rows " << g.rows << ", group "
+         << g.rows_per_activation << ", m " << m << ", k " << k << ")";
+    expect_kernels_identical(scalar, vector, m, k, /*columns=*/3,
+                             /*seed=*/1000 + trial, what.str());
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(AnalogKernels, SaturatedReadsHitTheTopOfTheTable) {
+  // All-ones weights and activations turn on every cell, so each read of
+  // a full group counts exactly max_count() = rows_per_activation cells:
+  // the last row of the read table, on both kernels.
+  for (const MacroConfig& cfg :
+       {default_rom_macro(), default_sram_macro(), noise_free_rom()}) {
+    const MacroGeometry& g = cfg.geometry;
+    const int m = 9;
+    const int k = 2 * g.rows;  // two full tiles of full groups
+    const std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k, -1);
+    const std::vector<std::uint8_t> x(static_cast<std::size_t>(k), 0xFF);
+    const PackedRomWeights packed(w.data(), m, k, g);
+    std::vector<AnalogKernel> kernels = {AnalogKernel::kScalar};
+    if (best_analog_kernel() == AnalogKernel::kAvx512) {
+      kernels.push_back(AnalogKernel::kAvx512);
+    }
+    std::vector<std::vector<std::int32_t>> outputs;
+    for (const AnalogKernel kernel : kernels) {
+      const CimMacro macro(cfg, kernel);
+      ASSERT_EQ(macro.read_table().max_count(), g.rows_per_activation);
+      MacroRunStats stats;
+      std::vector<std::int32_t> y(static_cast<std::size_t>(m));
+      std::vector<std::int32_t> sum(static_cast<std::size_t>(m), 0);
+      for (int tile = 0; tile < packed.tile_count(); ++tile) {
+        macro.mvm_packed(packed, tile, x.data() + tile * g.rows, y.data(),
+                         /*noise_key=*/77 + tile, stats);
+        for (int j = 0; j < m; ++j) sum[static_cast<std::size_t>(j)] += y[j];
+      }
+      // Every read saw a full group: cells = reads * rows_per_activation.
+      const std::uint64_t reads = static_cast<std::uint64_t>(m) *
+                                  g.weight_bits * g.input_bits *
+                                  (k / g.rows_per_activation);
+      EXPECT_EQ(stats.array.adc_conversions, reads);
+      EXPECT_EQ(stats.array.precharge_energy_pj,
+                static_cast<double>(reads * g.rows_per_activation) *
+                    macro.expected_precharge_pj(1));
+      outputs.push_back(sum);
+    }
+    for (const auto& y : outputs) EXPECT_EQ(y, outputs.front());
+  }
 }
 
 TEST(NoiseKeys, RomAndSramNeverShareAStream) {

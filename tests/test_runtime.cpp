@@ -56,6 +56,11 @@ LayerPtr make_model(std::uint64_t seed) {
   return net;
 }
 
+/// Analog plans raise cell mismatch from its 0.02 default to 0.1 on both
+/// macros: at 0.02 no logit of this small model depends on the noise
+/// seed, so the "bit-identical to serial seed" checks below could not
+/// see a noise-keying bug (Runtime.ConcurrentContextsBitIdenticalToSerial
+/// asserts that two seeds differ).
 std::unique_ptr<DeploymentPlan> make_plan(MacroMvmEngine::Mode mode,
                                           std::uint64_t model_seed = 21) {
   LayerPtr net = make_model(model_seed);
@@ -63,6 +68,10 @@ std::unique_ptr<DeploymentPlan> make_plan(MacroMvmEngine::Mode mode,
   Tensor calib = Tensor::rand_uniform({8, 3, 8, 8}, data_rng, 0.0f, 1.0f);
   DeploymentOptions options;
   options.mode = mode;
+  if (mode == MacroMvmEngine::Mode::kAnalog) {
+    options.rom_macro.bitline.sigma_cell = 0.1;
+    options.sram_macro.bitline.sigma_cell = 0.1;
+  }
   return std::make_unique<DeploymentPlan>(std::move(net), calib,
                                           std::move(options));
 }
@@ -128,6 +137,9 @@ TEST(Runtime, ConcurrentContextsBitIdenticalToSerial) {
   }
   EXPECT_GT(serial_rom.macs, 0u);
   EXPECT_GT(serial_sram.macs, 0u);
+  // The noise reaches the logits: another seed gives another output.
+  EXPECT_FALSE(bit_identical(serial_out[0],
+                             ExecutionContext(*plan, seed_of(1)).infer(xs[0])));
 
   // Concurrent: N threads share the plan, each with its own context.
   std::vector<Tensor> parallel_out(kRequests);
@@ -287,16 +299,8 @@ TEST(Runtime, ServerMicrobatchingPreservesExactOutputs) {
   // Analog noise is keyed per request, so at the same micro-batch cap
   // row i is bit-identical to a serial context seeded noise_seed + i.
   // The single worker is held on its first batch until every row is
-  // queued, so the rest are fused into micro-batches of 4. Cell mismatch
-  // is raised from its 0.02 default: at 0.02 no logit of this small
-  // model depends on the noise seed, so a keying bug would go unseen.
-  DeploymentOptions noisy;
-  noisy.rom_macro.bitline.sigma_cell = 0.1;
-  noisy.sram_macro.bitline.sigma_cell = 0.1;
-  Rng calib_rng(33);
-  const auto analog = std::make_unique<DeploymentPlan>(
-      make_model(21),
-      Tensor::rand_uniform({8, 3, 8, 8}, calib_rng, 0.0f, 1.0f), noisy);
+  // queued, so the rest are fused into micro-batches of 4.
+  const auto analog = make_plan(MacroMvmEngine::Mode::kAnalog);
   std::promise<void> release;
   const std::shared_future<void> released = release.get_future().share();
   std::atomic<bool> held{false};

@@ -905,8 +905,8 @@ TEST(SchedulerWeighted, BestEffortBoundedUnderInteractiveFlood) {
   // Occupy the single worker, then queue an interactive flood AND two
   // best-effort requests. Under strict priority the flood would starve
   // them until it fully drains; under DWRR each best-effort request is
-  // served within one rotation. Flood requests carry 4 images so the
-  // backlog still holds many ms of work when we sample below — the
+  // served within one rotation. Flood requests carry 4 images of 16x16
+  // so the backlog still holds many ms of work when we sample below — the
   // assertions tolerate a descheduled test thread.
   auto blocker = scheduler.submit(make_blocker_input(),
                                   {Priority::kInteractive, milliseconds(0)});
@@ -915,7 +915,7 @@ TEST(SchedulerWeighted, BestEffortBoundedUnderInteractiveFlood) {
   for (int i = 0; i < 20; ++i) {
     flood.push_back(
         scheduler
-            .submit(make_input(600 + static_cast<unsigned>(i), {4, 3, 8, 8}),
+            .submit(make_input(600 + static_cast<unsigned>(i), {4, 3, 16, 16}),
                     {Priority::kInteractive, milliseconds(0)})
             .share());
   }
