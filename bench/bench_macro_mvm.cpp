@@ -1,31 +1,30 @@
-// Kernel-level throughput of the CiM macro MVM: packed (deploy-time
-// weight bit-plane packing, PR "ROM packing") vs legacy (per-call mask
-// derivation — the pre-packing baseline, still compiled unchanged) across
-// {rows, input_bits, weight_bits} geometries, in analog mode with the
-// default ROM noise, in noise-free analog mode (sigma_cell = 0,
-// adc noise = 0 — the configuration every fidelity test runs), and in
-// exact-cost mode. One JSON line per (shape, variant, path, kernel), same
-// trajectory-file conventions as bench_serving_throughput:
+// Kernel-level throughput of the CiM macro MVM (MacroMvmEngine over
+// deploy-time packed weight bit-planes) across {rows, input_bits,
+// weight_bits} geometries, in analog mode with the default ROM noise, in
+// noise-free analog mode (sigma_cell = 0, adc noise = 0 — the
+// configuration every fidelity test runs), and in exact-cost mode. One
+// JSON line per (shape, variant, kernel), same trajectory-file
+// conventions as bench_serving_throughput:
 //
-//   {"bench":"macro_mvm","path":"packed","kernel":"avx512",
-//    "variant":"analog",...,"ns_per_mac":..,"ns_per_adc_read":..,
-//    "columns_per_s":..,"pack_ms":..,"speedup_vs_legacy":..}
+//   {"bench":"macro_mvm","kernel":"avx512","variant":"analog",...,
+//    "ns_per_mac":..,"ns_per_adc_read":..,"columns_per_s":..,
+//    "pack_ms":..,"packed_bytes":..,"speedup_vs_scalar":..}
 //
-// `kernel` names the analog kernel the row ran (see macro/cim_macro.hpp):
-// "avx512" only on packed analog rows of a host that has it. The legacy
-// path and exact-cost mode always run scalar code. On an AVX-512 host
-// each analog variant gets two packed rows, the dispatched AVX-512 kernel
-// and the scalar kernel, so the file shows the kernel's own speedup.
-// `ns_per_adc_read` is reported on analog rows only.
+// `kernel` names the analog kernel the row ran (see macro/cim_macro.hpp).
+// Every cell has a `scalar` row; on an AVX-512 host each analog cell also
+// has an `avx512` row carrying `speedup_vs_scalar`, the vector kernel's
+// own speedup. Exact-cost mode never enters either analog kernel, so its
+// cells have the scalar row only. `ns_per_adc_read` is reported on
+// analog rows only.
 //
 // The shapes are the four kernel sweeps at m = 128, p = 16 (k = rows, or
 // 2 * rows + 10 to cross row tiles) plus one served shape: m = 8, k = 72,
 // p = 256, the second conv of the served VGG-8-lite on a 16x16 image.
 //
-// Before timing, each configuration asserts that the packed outputs and
-// run stats of every kernel are bit-identical to the legacy path under
-// the same seed — the bench refuses to report a speedup for a kernel that
-// changed results. Every row records the host's core count
+// Before timing, each configuration asserts that the AVX-512 kernel's
+// outputs and run stats are bit-identical to the scalar kernel's under
+// the same seed — the bench refuses to report a speedup for a kernel
+// that changed results. Every row records the host's core count
 // (`host_cores`).
 //
 //   build/bench_macro_mvm [--seconds=S]   (default 0.4s per cell)
@@ -130,10 +129,8 @@ Measurement run_path(const MacroMvmEngine& engine, int m, int k, int p,
     if (out.seconds >= min_seconds && iters >= 3) break;
   }
   out.columns = static_cast<std::uint64_t>(iters) * p;
-  if (const PackedWeightsCache* cache = engine.packed_cache()) {
-    out.pack_ms = cache->total_pack_ms();
-    out.packed_bytes = cache->packed_bytes();
-  }
+  out.pack_ms = engine.packed_cache().total_pack_ms();
+  out.packed_bytes = engine.packed_cache().packed_bytes();
   return out;
 }
 
@@ -142,30 +139,28 @@ const char* kernel_name(AnalogKernel kernel) {
 }
 
 /// Prints one row. `reads_per_column` > 0 adds ns_per_adc_read;
-/// `legacy_cols_s` adds speedup_vs_legacy and the packing fields.
-void emit_row(const char* path, AnalogKernel kernel, const Variant& variant,
-              const Shape& shape, unsigned host_cores, const Measurement& me,
-              double macs, double reads_per_column,
-              const double* legacy_cols_s) {
+/// `scalar_cols_s` adds speedup_vs_scalar.
+void emit_row(AnalogKernel kernel, const Variant& variant, const Shape& shape,
+              unsigned host_cores, const Measurement& me, double macs,
+              double reads_per_column, const double* scalar_cols_s) {
   const double columns = static_cast<double>(me.columns);
   const double cols_s = columns / me.seconds;
   std::printf(
-      "{\"bench\":\"macro_mvm\",\"path\":\"%s\",\"kernel\":\"%s\","
-      "\"variant\":\"%s\",\"rows\":%d,\"input_bits\":%d,"
-      "\"weight_bits\":%d,\"m\":%d,\"k\":%d,\"p\":%d,\"host_cores\":%u,"
-      "\"ns_per_mac\":%.4f",
-      path, kernel_name(kernel), variant.name, shape.geom.rows,
+      "{\"bench\":\"macro_mvm\",\"kernel\":\"%s\",\"variant\":\"%s\","
+      "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,\"k\":%d,"
+      "\"p\":%d,\"host_cores\":%u,\"ns_per_mac\":%.4f",
+      kernel_name(kernel), variant.name, shape.geom.rows,
       shape.geom.input_bits, shape.geom.weight_bits, shape.m, shape.k,
       shape.p, host_cores, me.seconds * 1e9 / (macs * columns));
   if (reads_per_column > 0.0) {
     std::printf(",\"ns_per_adc_read\":%.4f",
                 me.seconds * 1e9 / (reads_per_column * columns));
   }
-  std::printf(",\"columns_per_s\":%.1f", cols_s);
-  if (legacy_cols_s != nullptr) {
-    std::printf(",\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
-                "\"speedup_vs_legacy\":%.2f",
-                me.pack_ms, me.packed_bytes, cols_s / *legacy_cols_s);
+  std::printf(",\"columns_per_s\":%.1f,\"pack_ms\":%.4f,"
+              "\"packed_bytes\":%zu",
+              cols_s, me.pack_ms, me.packed_bytes);
+  if (scalar_cols_s != nullptr) {
+    std::printf(",\"speedup_vs_scalar\":%.2f", cols_s / *scalar_cols_s);
   }
   std::printf("}\n");
   std::fflush(stdout);
@@ -209,62 +204,53 @@ int main(int argc, char** argv) {
     for (const Variant& variant : variants) {
       const MacroConfig cfg = make_config(geom, variant.noise_free);
       const bool analog = variant.mode == MacroMvmEngine::Mode::kAnalog;
-      const CimMacro macro(cfg, AnalogKernel::kScalar);
-      const MacroMvmEngine legacy(macro, variant.mode);
-      // Packed rows: the scalar kernel, plus the AVX-512 kernel where
-      // this host runs it (analog variants only; exact-cost never enters
-      // either analog kernel).
+      // The scalar kernel, plus the AVX-512 kernel where this host runs
+      // it (analog variants only; exact-cost never enters either analog
+      // kernel).
       std::vector<AnalogKernel> kernels = {AnalogKernel::kScalar};
       if (analog && best_analog_kernel() == AnalogKernel::kAvx512) {
         kernels.push_back(AnalogKernel::kAvx512);
       }
-      // The legacy path's ADC reads per column: m * wb * ib * groups,
-      // summed over row tiles.
-      MacroRunStats probe;
-      {
-        NoiseKeys keys = one_image_keys(7);
-        MvmSession session{&keys, &probe, nullptr};
-        std::vector<std::int32_t> y(static_cast<std::size_t>(m));
-        legacy.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
-      }
-      const double reads_per_column =
-          static_cast<double>(probe.array.adc_conversions);
-
-      const Measurement lm = run_path(legacy, m, k, p, w, x, min_seconds);
       const double macs = static_cast<double>(m) * k;
-      const double legacy_cols_s =
-          static_cast<double>(lm.columns) / lm.seconds;
-      emit_row("legacy", AnalogKernel::kScalar, variant, shape, host_cores,
-               lm, macs, analog ? reads_per_column : 0.0, nullptr);
+      std::vector<std::int32_t> y_scalar;
+      MacroRunStats stats_scalar;
+      double reads_per_column = 0.0;
+      double scalar_cols_s = 0.0;
 
       for (const AnalogKernel kernel : kernels) {
-        const CimMacro kernel_macro(cfg, kernel);
-        PackedWeightsCache cache;
-        const MacroMvmEngine packed(kernel_macro, variant.mode, &cache);
-        // Refuse to time a kernel whose results changed.
+        const bool scalar = kernel == AnalogKernel::kScalar;
+        const CimMacro macro(cfg, kernel);
+        const MacroMvmEngine engine(macro, variant.mode);
+        std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
+        MacroRunStats stats;
         {
-          std::vector<std::int32_t> ya(static_cast<std::size_t>(m) * p);
-          std::vector<std::int32_t> yb(static_cast<std::size_t>(m) * p);
-          NoiseKeys ka = one_image_keys(7);
-          NoiseKeys kb = one_image_keys(7);
-          MacroRunStats sa, sb;
-          MvmScratch sca, scb;
-          MvmSession sea{&ka, &sa, &sca}, seb{&kb, &sb, &scb};
-          legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
-          packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
-          if (!bit_identical(ya, yb, sa, sb)) {
-            std::fprintf(stderr,
-                         "FATAL: packed %s kernel diverged from legacy at "
-                         "rows=%d ib=%d wb=%d m=%d k=%d variant=%s\n",
-                         kernel_name(kernel), geom.rows,
-                         geom.input_bits, geom.weight_bits, m, k,
-                         variant.name);
-            return 1;
-          }
+          NoiseKeys keys = one_image_keys(7);
+          MvmScratch scratch;
+          MvmSession session{&keys, &stats, &scratch};
+          engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
         }
-        const Measurement pm = run_path(packed, m, k, p, w, x, min_seconds);
-        emit_row("packed", kernel, variant, shape, host_cores, pm, macs,
-                 analog ? reads_per_column : 0.0, &legacy_cols_s);
+        if (scalar) {
+          y_scalar = y;
+          stats_scalar = stats;
+          // ADC reads per column: m * wb * ib * groups over row tiles.
+          reads_per_column =
+              static_cast<double>(stats.array.adc_conversions) / p;
+        } else if (!bit_identical(y_scalar, y, stats_scalar, stats)) {
+          // Refuse to time a kernel whose results changed.
+          std::fprintf(stderr,
+                       "FATAL: %s kernel diverged from scalar at rows=%d "
+                       "ib=%d wb=%d m=%d k=%d variant=%s\n",
+                       kernel_name(kernel), geom.rows, geom.input_bits,
+                       geom.weight_bits, m, k, variant.name);
+          return 1;
+        }
+        const Measurement me = run_path(engine, m, k, p, w, x, min_seconds);
+        emit_row(kernel, variant, shape, host_cores, me, macs,
+                 analog ? reads_per_column : 0.0,
+                 scalar ? nullptr : &scalar_cols_s);
+        if (scalar) {
+          scalar_cols_s = static_cast<double>(me.columns) / me.seconds;
+        }
       }
     }
   }

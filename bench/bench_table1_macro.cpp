@@ -50,9 +50,11 @@ void BM_RomMacroMvm(benchmark::State& state) {
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  const PackedRomWeights packed(w.data(), m, k, macro.config().geometry);
   MacroRunStats stats;
   for (auto _ : state) {
-    macro.mvm(w.data(), m, k, x.data(), y.data(), rng(), stats);
+    macro.mvm_packed(packed, /*tile_index=*/0, x.data(), y.data(), rng(),
+                     stats);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["modeled_TOPS/W"] =
@@ -72,9 +74,12 @@ void BM_RomMacroMvmExactCost(benchmark::State& state) {
   std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k, 3);
   std::vector<std::uint8_t> x(static_cast<std::size_t>(k), 7);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
+  const PackedRomWeights packed(w.data(), m, k, macro.config().geometry,
+                                /*pack_planes=*/false);
   MacroRunStats stats;
   for (auto _ : state) {
-    macro.mvm_exact_cost(w.data(), m, k, x.data(), y.data(), stats);
+    macro.mvm_packed_exact_cost(packed, /*tile_index=*/0, w.data(), x.data(),
+                                y.data(), stats);
     benchmark::DoNotOptimize(y.data());
   }
 }

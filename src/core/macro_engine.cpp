@@ -14,9 +14,14 @@ std::uint64_t mvm_noise_key(std::uint64_t image_key, MacroKind kind,
   return hash_chain(h, static_cast<std::uint64_t>(pixel));
 }
 
-MacroMvmEngine::MacroMvmEngine(const CimMacro& macro, Mode mode,
-                               const PackedWeightsCache* packed_cache)
-    : macro_(&macro), mode_(mode), packed_cache_(packed_cache) {}
+MacroMvmEngine::MacroMvmEngine(const CimMacro& macro, Mode mode)
+    : macro_(&macro), mode_(mode) {}
+
+const PackedRomWeights& MacroMvmEngine::packed(const std::int8_t* w, int m,
+                                               int k) const {
+  return packed_cache_.get_or_pack(w, m, k, macro_->config().geometry,
+                                   /*pack_planes=*/mode_ != Mode::kExactCost);
+}
 
 std::string MacroMvmEngine::name() const {
   return mode_ == Mode::kAnalog ? "macro-analog" : "macro-exact-cost";
@@ -31,7 +36,6 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
   YOLOC_CHECK(mode_ != Mode::kAnalog || session.noise != nullptr,
               "macro engine: analog mode needs session noise keys");
   MacroRunStats& stats = *session.stats;
-  const int rows = macro_->config().geometry.rows;
 
   // Columns are image-major: column col belongs to image col / pixels
   // and is that image's output pixel col % pixels.
@@ -63,63 +67,26 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
       session.scratch != nullptr ? *session.scratch : local_scratch;
   std::vector<std::uint8_t>& x_chunk = scratch.x_chunk;
   std::vector<std::int32_t>& y_partial = scratch.y_partial;
-  x_chunk.resize(static_cast<std::size_t>(rows));
+  x_chunk.resize(static_cast<std::size_t>(macro_->config().geometry.rows));
   y_partial.resize(static_cast<std::size_t>(m));
 
-  if (packed_cache_ != nullptr) {
-    // Fast path: weight bit-planes were expanded once at deploy time (or
-    // on first touch); per column only the activation vector moves.
-    // Exact-cost mode never reads the bit-planes (it MACs the raw int8
-    // rows), so it requests the boundaries-only packing.
-    const PackedRomWeights& packed = packed_cache_->get_or_pack(
-        w, m, k, macro_->config().geometry,
-        /*pack_planes=*/mode_ != Mode::kExactCost);
-    for (int tile = 0; tile < packed.tile_count(); ++tile) {
-      const PackedRomWeights::Tile& t = packed.tile(tile);
-      for (int col = 0; col < p; ++col) {
-        for (int i = 0; i < t.k_size; ++i) {
-          x_chunk[static_cast<std::size_t>(i)] =
-              x[static_cast<std::size_t>(t.k0 + i) * p + col];
-        }
-        if (mode_ == Mode::kAnalog) {
-          macro_->mvm_packed(packed, tile, x_chunk.data(), y_partial.data(),
-                             noise_key(tile, col), stats);
-        } else {
-          macro_->mvm_packed_exact_cost(packed, tile, w, x_chunk.data(),
-                                        y_partial.data(), stats);
-        }
-        for (int j = 0; j < m; ++j) {
-          y[static_cast<std::size_t>(j) * p + col] +=
-              y_partial[static_cast<std::size_t>(j)];
-        }
-      }
-    }
-    return;
-  }
-
-  // Legacy path (also the packing-free baseline the macro bench times):
-  // tile the reduction dimension over subarray row capacity; partial sums
-  // accumulate digitally (the shift-add backend).
-  std::vector<std::int8_t>& w_chunk = scratch.w_chunk;
-  for (int k0 = 0, tile = 0; k0 < k; k0 += rows, ++tile) {
-    const int k_size = std::min(rows, k - k0);
-    w_chunk.resize(static_cast<std::size_t>(m) * k_size);
-    for (int j = 0; j < m; ++j) {
-      const std::int8_t* src = w + static_cast<std::size_t>(j) * k + k0;
-      std::copy(src, src + k_size,
-                w_chunk.begin() + static_cast<std::size_t>(j) * k_size);
-    }
+  // Weight bit-planes were expanded once at deploy time (or on first
+  // touch); per column only the activation vector moves. Partial sums of
+  // the row tiles accumulate digitally (the shift-add backend).
+  const PackedRomWeights& pw = packed(w, m, k);
+  for (int tile = 0; tile < pw.tile_count(); ++tile) {
+    const PackedRomWeights::Tile& t = pw.tile(tile);
     for (int col = 0; col < p; ++col) {
-      for (int i = 0; i < k_size; ++i) {
+      for (int i = 0; i < t.k_size; ++i) {
         x_chunk[static_cast<std::size_t>(i)] =
-            x[static_cast<std::size_t>(k0 + i) * p + col];
+            x[static_cast<std::size_t>(t.k0 + i) * p + col];
       }
       if (mode_ == Mode::kAnalog) {
-        macro_->mvm(w_chunk.data(), m, k_size, x_chunk.data(),
-                    y_partial.data(), noise_key(tile, col), stats);
+        macro_->mvm_packed(pw, tile, x_chunk.data(), y_partial.data(),
+                           noise_key(tile, col), stats);
       } else {
-        macro_->mvm_exact_cost(w_chunk.data(), m, k_size, x_chunk.data(),
-                               y_partial.data(), stats);
+        macro_->mvm_packed_exact_cost(pw, tile, w, x_chunk.data(),
+                                      y_partial.data(), stats);
       }
       for (int j = 0; j < m; ++j) {
         y[static_cast<std::size_t>(j) * p + col] +=

@@ -9,27 +9,20 @@
 // simultaneously (a) task accuracy under analog non-idealities and
 // (b) measured compute energy per inference.
 //
-// The engine itself is immutable and reentrant: it holds only the macro
-// model, the mode, and (optionally) a pointer to a PackedWeightsCache.
-// The noise keys and the run statistics travel in the caller's
-// MvmSession, so any number of requests can execute through one engine
-// concurrently, each with its own session. Because a session is REQUIRED
-// (stats always, noise keys in analog mode), this engine cannot be
-// direct-bound to quantized layers the way the sessionless
-// ExactMvmEngine can — drive it through an ExecutionContext / MvmBinding
-// (src/runtime/), which wires a session per request.
+// The engine is reentrant: it holds the macro model, the mode and its
+// own PackedWeightsCache, whose packings are immutable once built. The
+// noise keys and the run statistics travel in the caller's MvmSession,
+// so any number of requests can execute through one engine concurrently,
+// each with its own session — drive it through an ExecutionContext /
+// MvmBinding (src/runtime/), which wires a session per request.
 //
 // Analog noise is keyed per (image, engine, layer, k-tile, output pixel)
 // and per read within the tile (NoiseKeys below), so it does not depend
 // on the order in which columns, tiles or reads run.
 //
-// Fast path: when a cache is attached, mvm_batch resolves (or builds,
+// Every call runs the packed kernels: mvm_batch resolves (or builds,
 // once) the PackedRomWeights for the layer's weight buffer and drives
-// CimMacro::mvm_packed / mvm_packed_exact_cost per (k-tile, column) —
-// bit-identical to the legacy per-call path, so deployments can switch
-// it on without changing a single output. Without a cache the engine
-// behaves exactly as before the packing existed (the pre-packing
-// baseline the macro bench compares against).
+// CimMacro::mvm_packed / mvm_packed_exact_cost per (k-tile, column).
 
 #include <cstdint>
 #include <vector>
@@ -72,15 +65,8 @@ class MacroMvmEngine final : public MvmEngine {
     kExactCost,  // bit-exact math, modeled cost (cost-only studies)
   };
 
-  /// `packed_cache`, when non-null, must outlive the engine and be
-  /// dedicated to this macro's geometry (a DeploymentPlan owns one per
-  /// engine). Null disables the packed fast path.
-  MacroMvmEngine(const CimMacro& macro, Mode mode,
-                 const PackedWeightsCache* packed_cache = nullptr);
-
-  // Note: the base class's sessionless mvm_batch convenience is
-  // deliberately NOT re-exposed — this engine requires a session, so the
-  // hidden overload turns a guaranteed runtime throw into a compile error.
+  /// `macro` must outlive the engine.
+  MacroMvmEngine(const CimMacro& macro, Mode mode);
 
   /// Requires session.stats; kAnalog additionally requires
   /// session.noise, whose image count must divide p.
@@ -90,14 +76,21 @@ class MacroMvmEngine final : public MvmEngine {
 
   [[nodiscard]] const CimMacro& macro() const { return *macro_; }
   [[nodiscard]] Mode mode() const { return mode_; }
-  [[nodiscard]] const PackedWeightsCache* packed_cache() const {
+  /// The packing of the (m x k) weight buffer `w` for this macro,
+  /// built on first use and reused by every later call with `w`.
+  /// Exact-cost mode never reads the bit-planes (it MACs the raw int8
+  /// rows), so it gets the boundaries-only packing.
+  const PackedRomWeights& packed(const std::int8_t* w, int m, int k) const;
+  /// Every packing this engine holds; the weight buffers they were
+  /// built from must outlive the engine.
+  [[nodiscard]] const PackedWeightsCache& packed_cache() const {
     return packed_cache_;
   }
 
  private:
   const CimMacro* macro_;
   Mode mode_;
-  const PackedWeightsCache* packed_cache_;
+  PackedWeightsCache packed_cache_;
 };
 
 }  // namespace yoloc

@@ -1,6 +1,5 @@
 #include "macro/cim_macro.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -88,21 +87,6 @@ double CimMacro::single_pass_latency_ns() const {
   return config_.geometry.input_bits * config_.geometry.clock_ns;
 }
 
-void CimMacro::charge_op_costs(int m, int k, const std::uint8_t* x,
-                               MacroRunStats& stats) const {
-  const auto& g = config_.geometry;
-  // Wordline pulses: one per active row per input cycle with bit set; the
-  // pulse is shared by every column of the subarray, so it is charged
-  // once per row-cycle (not per output).
-  std::uint64_t pulses = 0;
-  for (int t = 0; t < g.input_bits; ++t) {
-    for (int i = 0; i < k; ++i) {
-      if ((x[i] >> t) & 1u) ++pulses;
-    }
-  }
-  charge_op_costs(m, k, pulses, stats);
-}
-
 void CimMacro::charge_op_costs(int m, int k, std::uint64_t pulses,
                                MacroRunStats& stats) const {
   const auto& g = config_.geometry;
@@ -121,108 +105,6 @@ void CimMacro::charge_op_costs(int m, int k, std::uint64_t pulses,
   stats.latency_ns += slots * config_.adc.t_conv_ns;
   stats.macro_ops += 1;
   stats.macs += static_cast<std::uint64_t>(m) * k;
-}
-
-void CimMacro::mvm(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-                   std::int32_t* y, std::uint64_t noise_key,
-                   MacroRunStats& stats) const {
-  const auto& g = config_.geometry;
-  YOLOC_CHECK(k >= 1 && k <= g.rows, "cim macro: k exceeds subarray rows");
-  YOLOC_CHECK(m >= 1, "cim macro: m >= 1");
-
-  // Input bit-planes.
-  RowMask xbits[8];
-  for (int t = 0; t < g.input_bits; ++t) {
-    for (int i = 0; i < k; ++i) {
-      if ((x[i] >> t) & 1u) xbits[t].set(i);
-    }
-  }
-
-  // Fault overlay (nullptr in the common fault-off case: the hot loop
-  // then only pays this one pointer test per call). Coordinates are
-  // local tile coordinates — see macro/fault_model.hpp for why that
-  // keeps this path bit-identical to the packed path under faults.
-  const FaultModel* faults =
-      faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
-  const bool transients = faults != nullptr && faults->has_transients();
-
-  const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
-  std::uint64_t read = 0;
-  std::uint64_t cells = 0;  // ON cells discharged, for the precharge energy
-  for (int j = 0; j < m; ++j) {
-    // Weight bit-planes for output j: ROM columns store the raw
-    // two's-complement bit pattern.
-    RowMask wbits[8];
-    for (int i = 0; i < k; ++i) {
-      const std::uint8_t wv = static_cast<std::uint8_t>(
-          w[static_cast<std::size_t>(j) * k + i]);
-      for (int b = 0; b < g.weight_bits; ++b) {
-        if ((wv >> b) & 1u) wbits[b].set(i);
-      }
-    }
-    if (faults != nullptr) {
-      for (int b = 0; b < g.weight_bits; ++b) {
-        const FaultModel::PlaneFaults pf = faults->plane(j, b);
-        wbits[b].or_with(pf.force_one);
-        wbits[b].and_not(pf.force_zero);
-      }
-    }
-
-    double acc = 0.0;
-    for (int b = 0; b < g.weight_bits; ++b) {
-      const double bit_weight =
-          (b == g.weight_bits - 1) ? -static_cast<double>(1 << b)
-                                   : static_cast<double>(1 << b);
-      AdcDrift drift;
-      if (faults != nullptr) drift = faults->adc_drift(j, b);
-      for (int t = 0; t < g.input_bits; ++t) {
-        RowMask wb = wbits[b];
-        if (transients) wb.xor_with(faults->transient_flips(j, b, t));
-        for (int grp = 0; grp < groups; ++grp) {
-          const int lo = grp * g.rows_per_activation;
-          const int hi = std::min(k, lo + g.rows_per_activation);
-          const int exact = wb.count_and(xbits[t], lo, hi);
-          cells += static_cast<std::uint64_t>(exact);
-          double est = read_estimate(exact, noise_key, read++);
-          if (faults != nullptr) {
-            est = est * drift.gain + drift.offset_counts;
-          }
-          acc += est * bit_weight * static_cast<double>(1 << t);
-        }
-      }
-    }
-    y[j] = static_cast<std::int32_t>(std::llround(acc));
-  }
-  charge_reads(read, cells, stats);
-  charge_op_costs(m, k, x, stats);
-}
-
-void CimMacro::mvm_exact_cost(const std::int8_t* w, int m, int k,
-                              const std::uint8_t* x, std::int32_t* y,
-                              MacroRunStats& stats) const {
-  const auto& g = config_.geometry;
-  YOLOC_CHECK(k >= 1 && k <= g.rows, "cim macro: k exceeds subarray rows");
-  for (int j = 0; j < m; ++j) {
-    std::int64_t acc = 0;
-    for (int i = 0; i < k; ++i) {
-      acc += static_cast<std::int64_t>(w[static_cast<std::size_t>(j) * k + i]) *
-             x[i];
-    }
-    y[j] = static_cast<std::int32_t>(acc);
-  }
-  // Pay the analog read energy at the average activity level without
-  // drawing noise samples (cost-only path).
-  const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
-  const std::uint64_t conversions =
-      static_cast<std::uint64_t>(m) * g.weight_bits * g.input_bits * groups;
-  stats.array.adc_conversions += conversions;
-  stats.array.adc_energy_pj +=
-      static_cast<double>(conversions) * config_.adc.energy_pj;
-  // Average discharge ~ quarter of the group (random data assumption).
-  stats.array.precharge_energy_pj +=
-      static_cast<double>(conversions) *
-      array_.bitline().precharge_energy_pj(0.25 * g.rows_per_activation);
-  charge_op_costs(m, k, x, stats);
 }
 
 void CimMacro::check_packed_tile(const PackedRomWeights& packed,
@@ -247,10 +129,9 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
               "(packing was built boundaries-only for exact-cost)");
   const PackedRomWeights::Tile& tile = packed.tile(tile_index);
 
-  // Fault overlay — same local-coordinate pattern as the legacy path
-  // (the packed tile's rows ARE the legacy chunk's rows), so outputs and
-  // stats stay bit-identical between the two paths under faults. Only
-  // the scalar kernel applies it.
+  // Fault overlay in tile-local coordinates (see macro/fault_model.hpp):
+  // nullptr in the common fault-off case, so the hot loop pays one
+  // pointer test per call. Only the scalar kernel applies it.
   const FaultModel* faults =
       faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
   const KernelCounts counts =
@@ -277,8 +158,7 @@ CimMacro::KernelCounts CimMacro::mvm_packed_scalar(
   const int input_bits = packed.input_bits();
 
   // Activation bit-planes: ONE scan of x builds both the planes and the
-  // wordline pulse count (the legacy path scans x a second time inside
-  // charge_op_costs).
+  // wordline pulse count.
   RowMask xbits[8];
   for (int i = 0; i < k; ++i) {
     const unsigned v = x[i];
@@ -346,10 +226,9 @@ void CimMacro::mvm_packed_exact_cost(const PackedRomWeights& packed,
   const int full_k = packed.k();
 
   // The exact product stays a plain integer MAC over the raw weight rows
-  // (the compiler vectorizes it far better than a bit-plane
-  // reconstruction) — the fast-path win here is skipping the per-call
-  // weight chunk copy and replacing charge_op_costs' branchy second scan
-  // of x with a byte-popcount over the input_bits window.
+  // in place (the compiler vectorizes it far better than a bit-plane
+  // reconstruction); the wordline pulses are a byte-popcount over the
+  // input_bits window.
   for (int j = 0; j < m; ++j) {
     const std::int8_t* wrow =
         w + static_cast<std::size_t>(j) * full_k + tile.k0;

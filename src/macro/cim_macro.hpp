@@ -17,13 +17,14 @@
 // analog parameters (ROM: low mismatch; SRAM: higher mismatch, heavier
 // wordlines) and the cost constants.
 //
-// Two functional paths exist per mode:
-//   * mvm / mvm_exact_cost: the legacy per-call path that derives weight
-//     bit-planes from the raw int8 buffer on every call.
-//   * mvm_packed / mvm_packed_exact_cost: the deploy-time fast path over
-//     a PackedRomWeights tile, without re-deriving what ROM weights
-//     cannot change. Bit-identical to the legacy path: same outputs and
-//     same stats.
+// One functional path exists per mode, both over a PackedRomWeights tile
+// whose weight bit-planes were expanded once at deploy time (ROM weights
+// cannot change, so nothing re-derives them per call):
+//   * mvm_packed: the analog read chain (accuracy + cost).
+//   * mvm_packed_exact_cost: the exact integer product with the same
+//     modeled cost (cost-only studies).
+// Tests check both, bit for bit, against a per-call reference kernel
+// that derives the bit-planes on every call (tests/macro_oracle.hpp).
 //
 // mvm_packed runs one of two kernels (AnalogKernel), picked per macro at
 // construction:
@@ -80,33 +81,22 @@ class CimMacro {
   explicit CimMacro(MacroConfig config,
                     AnalogKernel kernel = best_analog_kernel());
 
-  /// Analog-modeled MVM: y (int32, m entries) ~= W (m x k, int8) * x
-  /// (k entries, uint8). k must fit the subarray rows. Accumulates
-  /// activity into stats. Noise/quantization follow the circuit model;
-  /// `noise_key` keys this call's reads (see the header comment).
-  void mvm(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-           std::int32_t* y, std::uint64_t noise_key,
-           MacroRunStats& stats) const;
-
-  /// Bit-exact variant that still pays the modeled energy/latency —
-  /// used to isolate cost modeling from accuracy modeling.
-  void mvm_exact_cost(const std::int8_t* w, int m, int k,
-                      const std::uint8_t* x, std::int32_t* y,
-                      MacroRunStats& stats) const;
-
-  /// Analog fast path over one packed tile: bit-identical to mvm() on
-  /// the same tile with the same `noise_key` (same y, same stats). `x`
-  /// holds the tile's k_size activation entries; `y` receives m partial
-  /// sums. `packed` must have been built against this macro's geometry.
+  /// Analog-modeled MVM over one packed tile: y (int32, m partial sums)
+  /// ~= W_tile (m x k_size, int8) * x (k_size entries, uint8).
+  /// Accumulates activity into stats. Noise/quantization follow the
+  /// circuit model; `noise_key` keys this call's reads (see the header
+  /// comment). `packed` must have been built against this macro's
+  /// geometry, with bit-planes.
   void mvm_packed(const PackedRomWeights& packed, int tile_index,
                   const std::uint8_t* x, std::int32_t* y,
                   std::uint64_t noise_key, MacroRunStats& stats) const;
 
-  /// Exact-cost fast path over one packed tile: bit-identical to
-  /// mvm_exact_cost() on the same tile. `w` is the FULL (m x k) weight
-  /// matrix the packing was built from (the integer MAC reads the raw
-  /// rows in place — no per-call chunk copy); `packed` supplies the tile
-  /// boundaries and cost geometry. No noise is drawn.
+  /// Bit-exact variant that still pays the modeled energy/latency —
+  /// used to isolate cost modeling from accuracy modeling. `w` is the
+  /// FULL (m x k) weight matrix the packing was built from (the integer
+  /// MAC reads the raw rows in place — no per-call chunk copy); `packed`
+  /// supplies the tile boundaries and cost geometry and may be
+  /// boundaries-only. No noise is drawn.
   void mvm_packed_exact_cost(const PackedRomWeights& packed, int tile_index,
                              const std::int8_t* w, const std::uint8_t* x,
                              std::int32_t* y, MacroRunStats& stats) const;
@@ -114,7 +104,7 @@ class CimMacro {
   [[nodiscard]] const MacroConfig& config() const { return config_; }
   [[nodiscard]] const CimArrayModel& array_model() const { return array_; }
 
-  /// The per-count ADC code distribution both analog paths sample.
+  /// The per-count ADC code distribution both analog kernels sample.
   [[nodiscard]] const ReadCodeTable& read_table() const { return table_; }
   /// Precharge energy charged per read of `count` ON cells: the expected
   /// value of the noisy chain's charge [pJ].
@@ -133,12 +123,8 @@ class CimMacro {
   [[nodiscard]] double single_pass_latency_ns() const;
 
  private:
-  /// Shared bookkeeping for both mvm variants (scans x for pulses).
-  void charge_op_costs(int m, int k, const std::uint8_t* x,
-                       MacroRunStats& stats) const;
-  /// Same bookkeeping with the wordline pulse count already known (the
-  /// packed path derives it from the activation bit-plane popcounts
-  /// instead of a second scan of x).
+  /// Bookkeeping shared by both modes: wordline pulses (counted by the
+  /// caller), shift-adds, latency and op/MAC counts of one m x k tile.
   void charge_op_costs(int m, int k, std::uint64_t pulses,
                        MacroRunStats& stats) const;
 
@@ -177,7 +163,7 @@ class CimMacro {
   CimArrayModel array_;
   ReadCodeTable table_;
   /// Constructed only when config_.faults.any(); shared so macro copies
-  /// see one active flag. Both mvm paths hoist ONE null/active check per
+  /// see one active flag. mvm_packed hoists ONE null/active check per
   /// call — the fault-off instruction stream is otherwise unchanged.
   std::shared_ptr<FaultModel> faults_;
 

@@ -18,11 +18,13 @@
 //     canonical read chain (circuit/cim_array.hpp AdcDrift).
 //
 // Coordinates are LOCAL tile coordinates: the engine time-multiplexes
-// reduction tiles onto one physical subarray, and the legacy mvm() path
-// only ever sees per-tile chunks — keying on local (j, b, i) keeps the
-// legacy and packed paths bit-identical under faults (parity-tested in
-// tests/test_fault.cpp). Stuck/flip bits at rows >= the tile's k are
-// harmless: every count ANDs with activation bits that are zero there.
+// reduction tiles onto one physical subarray, so every tile sees the
+// same faulty cells at its local (j, b, i). The per-call test oracle
+// (tests/macro_oracle.hpp), which derives each tile's bit-planes itself,
+// applies the same overlay and is checked bit-identical to the packed
+// kernel under faults (tests/test_fault.cpp). Stuck/flip bits at rows
+// >= the tile's k are harmless: every count ANDs with activation bits
+// that are zero there.
 //
 // The only runtime state is an atomic `active` flag so chaos drills can
 // inject and clear the fault mid-traffic; rates and seed are frozen at

@@ -35,7 +35,9 @@ MacroSpecSummary summarize_macro(const CimMacro& macro, Rng& rng, int samples,
   for (int iter = 0; iter < samples; ++iter) {
     for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
     for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    macro.mvm(w.data(), m, k, x.data(), y.data(), rng(), stats);
+    const PackedRomWeights packed(w.data(), m, k, g);
+    macro.mvm_packed(packed, /*tile_index=*/0, x.data(), y.data(), rng(),
+                     stats);
   }
   const double ops = 2.0 * static_cast<double>(stats.macs);
   s.mac_eff_tops_per_w = tops_per_watt(ops, stats.energy_pj());

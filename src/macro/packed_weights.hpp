@@ -1,12 +1,11 @@
 #pragma once
-// Deploy-time ROM weight packing (the fast-path counterpart of
-// macro/cim_macro.*).
+// Deploy-time ROM weight packing: the operand layout every CimMacro
+// kernel (macro/cim_macro.*) reads.
 //
 // The premise of ROM-based CiM is that weights are immutable after
 // tape-out: the bit-sliced column pattern a weight matrix occupies in the
-// subarray is fixed for the lifetime of the chip. The legacy
-// CimMacro::mvm nevertheless re-derived every output row's weight
-// bit-plane masks for every im2col column of every request —
+// subarray is fixed for the lifetime of the chip. Deriving every output
+// row's weight bit-plane masks per im2col column would be
 // O(m * k * weight_bits) redundant work per column that dwarfs the
 // popcount + ADC math it feeds.
 //
@@ -19,11 +18,11 @@
 // construction and is shared read-only by every ExecutionContext serving
 // the plan — only activations move at serve time.
 //
-// PackedWeightsCache maps a layer's weight buffer to its packing. A
-// DeploymentPlan owns one cache per macro engine and pre-packs every
-// quantized layer at lowering/load time; the cache also packs lazily (under
-// a shared_mutex) so standalone engine users get the fast path on first
-// touch.
+// PackedWeightsCache maps a layer's weight buffer to its packing. Every
+// MacroMvmEngine owns one (core/macro_engine.hpp), so a DeploymentPlan
+// holds one per macro and pre-packs every quantized layer at
+// lowering/load time; the cache also packs lazily (under a shared_mutex)
+// on an engine's first call with a weight buffer it has not seen.
 
 #include <array>
 #include <bit>
@@ -39,32 +38,13 @@
 namespace yoloc {
 
 /// 128 rows fit two 64-bit lanes; mask type for subarray row bitsets.
-/// (Shared by the legacy per-call path in cim_macro.cpp and the packed
-/// representation below.)
 struct RowMask {
   std::uint64_t lane[2] = {0, 0};
 
   void set(int i) { lane[i >> 6] |= (1ull << (i & 63)); }
 
-  /// Popcount of (this & other) over bit range [lo, hi) — the legacy
-  /// branchy range-clamped count.
-  [[nodiscard]] int count_and(const RowMask& other, int lo, int hi) const {
-    int total = 0;
-    for (int l = 0; l < 2; ++l) {
-      const int base = l * 64;
-      const int a = lo - base > 0 ? lo - base : 0;
-      const int b = hi - base < 64 ? hi - base : 64;
-      if (a >= b) continue;
-      std::uint64_t m = lane[l] & other.lane[l];
-      if (a > 0) m &= ~0ull << a;
-      if (b < 64) m &= (b == 64) ? ~0ull : ((1ull << b) - 1);
-      total += std::popcount(m);
-    }
-    return total;
-  }
-
-  /// Popcount of (this & x & group) — the packed fast path: two unmasked
-  /// AND + popcounts per lane, no range clamping.
+  /// Popcount of (this & x & group): two unmasked AND + popcounts per
+  /// lane, no range clamping.
   [[nodiscard]] int count_and3(const RowMask& x, const RowMask& group) const {
     return std::popcount(lane[0] & x.lane[0] & group.lane[0]) +
            std::popcount(lane[1] & x.lane[1] & group.lane[1]);
@@ -138,8 +118,8 @@ class PackedRomWeights {
   /// Digital shift-add weights: entry [b * input_bits + t] is
   /// bit_weight(b) * 2^t, with the MSB carrying its two's-complement
   /// negative factor. Both factors are exact powers of two, so folding
-  /// them into one table keeps the packed accumulation bit-identical to
-  /// the legacy (est * bit_weight) * 2^t order.
+  /// them into one table keeps the accumulation bit-identical to the
+  /// (est * bit_weight) * 2^t order.
   [[nodiscard]] const double* bit_cycle_weight() const {
     return bit_cycle_weight_.data();
   }

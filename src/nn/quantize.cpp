@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "common/trace_clock.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/container.hpp"
@@ -18,39 +17,15 @@ namespace {
 /// Active binding for the current thread (set by MvmBinding::Scope).
 thread_local const MvmBinding* t_binding = nullptr;
 
-struct ResolvedEngine {
-  const MvmEngine* engine = nullptr;
-  MvmSession session;
-};
-
-/// Engine lookup order: thread-local slot for the layer's kind, then the
-/// thread-local default slot, then the layer's direct binding. The
-/// returned session always carries a scratch arena: the binding's if it
-/// supplied one, otherwise a thread-local fallback (so unscoped layers
-/// still reuse buffers within a thread).
-ResolvedEngine resolve_engine(const MvmEngine* direct, EngineKind kind,
-                              const char* what) {
-  ResolvedEngine resolved;
-  if (const MvmBinding* binding = MvmBinding::current()) {
-    const MvmBinding::Slot& s = binding->slot(kind);
-    const MvmBinding::Slot& d = binding->slot(EngineKind::kDefault);
-    if (s.engine != nullptr) {
-      resolved = {s.engine, s.session};
-    } else if (d.engine != nullptr) {
-      resolved = {d.engine, d.session};
-    }
-  }
-  if (resolved.engine == nullptr) {
-    // Direct bindings execute with an otherwise-empty session: only
-    // sessionless engines (ExactMvmEngine) support that. Session-
-    // requiring engines (MacroMvmEngine) must be driven through an
-    // ExecutionContext / MvmBinding, which supplies noise + stats.
-    YOLOC_CHECK(direct != nullptr,
-                std::string(what) +
-                    ": no engine bound — run inside an ExecutionContext "
-                    "(or lower with a direct sessionless engine)");
-    resolved.engine = direct;
-  }
+/// The active binding's slot for `kind`. The returned session always
+/// carries a scratch arena: the binding's if it supplied one, otherwise a
+/// thread-local fallback.
+MvmBinding::Slot resolve_engine(EngineKind kind, const char* what) {
+  const MvmBinding* binding = MvmBinding::current();
+  YOLOC_CHECK(binding != nullptr && binding->slot(kind).engine != nullptr,
+              std::string(what) +
+                  ": no engine bound — run inside an ExecutionContext");
+  MvmBinding::Slot resolved = binding->slot(kind);
   if (resolved.session.scratch == nullptr) {
     thread_local MvmScratch t_fallback_scratch;
     resolved.session.scratch = &t_fallback_scratch;
@@ -67,53 +42,6 @@ MvmBinding::Scope::Scope(const MvmBinding& binding) : prev_(t_binding) {
 MvmBinding::Scope::~Scope() { t_binding = prev_; }
 
 const MvmBinding* MvmBinding::current() { return t_binding; }
-
-void ExactMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
-                               const std::uint8_t* x, int p, std::int32_t* y,
-                               MvmSession& /*session*/) const {
-  // Cache-blocked (m, k, p) walk. The old row-at-a-time loop streamed the
-  // whole k x p activation matrix once per output row — for the large p
-  // of early conv layers that is m full passes over an L2-busting
-  // matrix. Blocking p and k and reusing each x tile across a small row
-  // block keeps the tile resident while it is hot; integer accumulation
-  // is exact, so the result is unchanged by the reordering.
-  constexpr int kRowBlock = 8;    // output rows sharing one x tile
-  constexpr int kKBlock = 256;    // reduction rows per tile
-  constexpr int kPBlock = 512;    // columns per tile (x tile <= 128 KiB)
-  const std::size_t row_blocks =
-      (static_cast<std::size_t>(m) + kRowBlock - 1) / kRowBlock;
-  const std::size_t p_blocks =
-      (static_cast<std::size_t>(p) + kPBlock - 1) / kPBlock;
-  parallel_for(row_blocks * p_blocks, [&](std::size_t task) {
-    const int j0 = static_cast<int>(task / p_blocks) * kRowBlock;
-    const int j1 = std::min(m, j0 + kRowBlock);
-    const int p0 = static_cast<int>(task % p_blocks) * kPBlock;
-    const int p1 = std::min(p, p0 + kPBlock);
-    for (int j = j0; j < j1; ++j) {
-      std::int32_t* yrow = y + static_cast<std::size_t>(j) * p;
-      for (int col = p0; col < p1; ++col) yrow[col] = 0;
-    }
-    for (int k0 = 0; k0 < k; k0 += kKBlock) {
-      const int k1 = std::min(k, k0 + kKBlock);
-      for (int j = j0; j < j1; ++j) {
-        const std::int8_t* wrow = w + static_cast<std::size_t>(j) * k;
-        std::int32_t* yrow = y + static_cast<std::size_t>(j) * p;
-        for (int kk = k0; kk < k1; ++kk) {
-          const std::int32_t wv = wrow[kk];
-          if (wv == 0) continue;
-          const std::uint8_t* xrow = x + static_cast<std::size_t>(kk) * p;
-          for (int col = p0; col < p1; ++col) yrow[col] += wv * xrow[col];
-        }
-      }
-    }
-  });
-}
-
-QuantConv2d::QuantConv2d(const Conv2d& src, const MvmEngine& engine,
-                         int weight_bits, int act_bits)
-    : QuantConv2d(src, EngineKind::kDefault, weight_bits, act_bits) {
-  engine_ = &engine;
-}
 
 QuantConv2d::QuantConv2d(const Conv2d& src, EngineKind kind, int weight_bits,
                          int act_bits)
@@ -208,7 +136,7 @@ Tensor QuantConv2d::forward(const Tensor& input, bool /*train*/) {
   }
 
   YOLOC_CHECK(is_calibrated(), "quant conv: deploy before calibration");
-  ResolvedEngine re = resolve_engine(engine_, kind_, "quant conv");
+  MvmBinding::Slot re = resolve_engine(kind_, "quant conv");
   MvmScratch* scratch = re.session.scratch;
   LayerTraceSink* trace = re.session.trace;
   std::uint64_t t0 = trace != nullptr ? trace_now_ns() : 0;
@@ -265,12 +193,6 @@ void QuantConv2d::finalize_calibration() {
   calibrating_ = false;
   const float qmax = static_cast<float>(unsigned_qmax(act_bits_));
   act_scale_ = observed_max_ > 0.0f ? observed_max_ / qmax : 1.0f;
-}
-
-QuantLinear::QuantLinear(Linear& src, const MvmEngine& engine, int weight_bits,
-                         int act_bits)
-    : QuantLinear(src, EngineKind::kDefault, weight_bits, act_bits) {
-  engine_ = &engine;
 }
 
 QuantLinear::QuantLinear(Linear& src, EngineKind kind, int weight_bits,
@@ -333,7 +255,7 @@ Tensor QuantLinear::forward(const Tensor& input, bool /*train*/) {
   }
 
   YOLOC_CHECK(act_scale_ > 0.0f, "quant linear: deploy before calibration");
-  ResolvedEngine re = resolve_engine(engine_, kind_, "quant linear");
+  MvmBinding::Slot re = resolve_engine(kind_, "quant linear");
   MvmScratch* scratch = re.session.scratch;
   LayerTraceSink* trace = re.session.trace;
   const std::uint64_t t0 = trace != nullptr ? trace_now_ns() : 0;
@@ -420,29 +342,6 @@ int fold_batchnorm_rec(Layer& layer) {
   return folds;
 }
 
-int quantize_rec(Layer& layer, const MvmEngine& engine, int weight_bits,
-                 int act_bits) {
-  int replaced = 0;
-  const auto children = layer.children();
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    Layer* child = children[i];
-    if (auto* conv = dynamic_cast<Conv2d*>(child)) {
-      auto q = std::make_unique<QuantConv2d>(*conv, engine, weight_bits,
-                                             act_bits);
-      layer.replace_child(i, std::move(q));
-      ++replaced;
-    } else if (auto* lin = dynamic_cast<Linear*>(child)) {
-      auto q =
-          std::make_unique<QuantLinear>(*lin, engine, weight_bits, act_bits);
-      layer.replace_child(i, std::move(q));
-      ++replaced;
-    } else {
-      replaced += quantize_rec(*child, engine, weight_bits, act_bits);
-    }
-  }
-  return replaced;
-}
-
 template <typename Fn>
 void for_each_quant_layer(Layer& layer, Fn&& fn) {
   if (auto* qc = dynamic_cast<QuantConv2d*>(&layer)) fn(qc, nullptr);
@@ -459,13 +358,6 @@ int fold_batchnorm(Layer& root) { return fold_batchnorm_rec(root); }
 void for_each_quantized_layer(
     Layer& root, const std::function<void(QuantConv2d*, QuantLinear*)>& fn) {
   for_each_quant_layer(root, fn);
-}
-
-int quantize_network(Layer& root, const MvmEngine& engine, int weight_bits,
-                     int act_bits) {
-  YOLOC_CHECK(!root.children().empty(),
-              "quantize_network: root must be a container");
-  return quantize_rec(root, engine, weight_bits, act_bits);
 }
 
 void calibrate_quantized(Layer& root, const Tensor& images) {

@@ -4,25 +4,25 @@
 // Pipeline (mirrors the paper's deployment flow, Sec. 3.3):
 //   1. fold_batchnorm()       - BN folded into the preceding conv, because
 //                               the macro executes a plain integer MVM.
-//   2. quantize_network()     - every Conv2d/Linear replaced by a
+//   2. lowering               - every Conv2d/Linear replaced by a
 //                               QuantConv2d/QuantLinear holding int8
-//                               weights plus an engine binding.
+//                               weights plus an EngineKind tag (ROM or
+//                               SRAM residency). DeploymentPlan
+//                               (src/runtime/) is the one lowering.
 //   3. calibrate + finalize   - one forward pass over a calibration batch
 //                               records per-layer activation ranges (pure
 //                               float math, no engine involved).
-//   4. Deploy mode            - forward() routes every MVM through an
-//                               MvmEngine: ExactMvmEngine for the integer
-//                               reference, or the macro-backed engine that
-//                               models the analog bitline + ADC.
+//   4. Deploy mode            - forward() routes every MVM through the
+//                               MvmEngine bound to the layer's kind: the
+//                               macro-backed engine (core/macro_engine.*),
+//                               in analog or exact-cost mode.
 //
-// Execution model: engines are immutable and reentrant. All mutable
-// per-request state (the analog-noise keys, run statistics, scratch
-// buffers) travels in an MvmSession supplied by the caller. A quantized
-// layer finds its engine either through the layer's direct binding
-// (legacy single-engine deployments via quantize_network) or through the
-// thread-local MvmBinding that the runtime's ExecutionContext installs
-// for the duration of a forward pass — which is what lets many requests
-// share one lowered network concurrently.
+// Execution model: engines are reentrant. All mutable per-request state
+// (the analog-noise keys, run statistics, scratch buffers) travels in an
+// MvmSession supplied by the caller. A quantized layer finds its engine
+// through the thread-local MvmBinding that the runtime's
+// ExecutionContext installs for the duration of a forward pass — which
+// is what lets many requests share one lowered network concurrently.
 //
 // Activation convention: unsigned 8-bit, zero point 0 (wordline pulses
 // encode non-negative amplitudes). Negative layer inputs clamp to zero,
@@ -53,8 +53,7 @@ struct MvmScratch {
   Tensor cols;                       // im2col output
   std::vector<std::uint8_t> qx;      // quantized activations
   std::vector<std::int32_t> acc;     // int32 MVM accumulator
-  std::vector<std::int8_t> w_chunk;  // macro row-tile of the weight matrix
-  std::vector<std::uint8_t> x_chunk;
+  std::vector<std::uint8_t> x_chunk;  // one column of a macro row-tile
   std::vector<std::int32_t> y_partial;
   Tensor xT;  // transposed linear input
 };
@@ -74,8 +73,8 @@ struct MvmSession {
 };
 
 /// Which engine a lowered layer should execute on. Deployment assigns
-/// kRom/kSram per the parameter residency flags; kDefault is the slot
-/// used by single-engine lowering (quantize_network).
+/// kRom/kSram per the parameter residency flags; kDefault is the
+/// untagged value, which lowering and the plan loader never produce.
 enum class EngineKind { kDefault = 0, kRom = 1, kSram = 2 };
 
 /// Observer for per-layer deploy-time execution phases, implemented by
@@ -105,30 +104,13 @@ class MvmEngine {
                          const std::uint8_t* x, int p, std::int32_t* y,
                          MvmSession& session) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Convenience for engines that need no session state.
-  void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-                 int p, std::int32_t* y) const {
-    MvmSession session;
-    mvm_batch(w, m, k, x, p, y, session);
-  }
-};
-
-/// Bit-exact integer reference backend (stateless; ignores the session's
-/// noise/stats).
-class ExactMvmEngine final : public MvmEngine {
- public:
-  using MvmEngine::mvm_batch;  // keep the sessionless convenience visible
-  void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-                 int p, std::int32_t* y, MvmSession& session) const override;
-  [[nodiscard]] std::string name() const override { return "exact"; }
 };
 
 /// Thread-local execution binding: maps EngineKind -> (engine, session)
 /// for the duration of a deployed forward pass. Installed via the RAII
 /// Scope by whoever drives execution (the runtime's ExecutionContext);
-/// quantized layers look their engine up here first and fall back to
-/// their direct binding when no scope is active.
+/// quantized layers look their engine up here, and a forward pass with no
+/// scope active (or no engine in the layer's slot) throws.
 class MvmBinding {
  public:
   struct Slot {
@@ -165,12 +147,9 @@ class MvmBinding {
 /// Inference-only quantized convolution. See file comment for the modes.
 class QuantConv2d final : public Layer {
  public:
-  /// Snapshot the float conv's geometry and weights with a direct engine
-  /// binding; `engine` must outlive this layer.
-  QuantConv2d(const Conv2d& src, const MvmEngine& engine, int weight_bits = 8,
-              int act_bits = 8);
-  /// Snapshot with a deferred binding: the engine is resolved per forward
-  /// pass from the thread-local MvmBinding slot for `kind`.
+  /// Snapshot the float conv's geometry and weights: the engine is
+  /// resolved per forward pass from the thread-local MvmBinding slot for
+  /// `kind`.
   QuantConv2d(const Conv2d& src, EngineKind kind, int weight_bits = 8,
               int act_bits = 8);
   /// Deserialization: rebuild an already-lowered, already-calibrated layer
@@ -216,7 +195,6 @@ class QuantConv2d final : public Layer {
   int act_bits_;
   QuantizedTensor qweight_;  // (out_ch x patch)
   Tensor bias_;              // (out_ch), float
-  const MvmEngine* engine_ = nullptr;  // direct binding (may be null)
   EngineKind kind_ = EngineKind::kDefault;
   bool calibrating_ = false;
   float observed_max_ = 0.0f;
@@ -226,8 +204,6 @@ class QuantConv2d final : public Layer {
 /// Inference-only quantized fully-connected layer.
 class QuantLinear final : public Layer {
  public:
-  QuantLinear(Linear& src, const MvmEngine& engine, int weight_bits = 8,
-              int act_bits = 8);
   QuantLinear(Linear& src, EngineKind kind, int weight_bits = 8,
               int act_bits = 8);
   /// Deserialization counterpart of the QuantConv2d restore constructor:
@@ -262,7 +238,6 @@ class QuantLinear final : public Layer {
   int act_bits_;
   QuantizedTensor qweight_;  // (out x in)
   Tensor bias_;
-  const MvmEngine* engine_ = nullptr;  // direct binding (may be null)
   EngineKind kind_ = EngineKind::kDefault;
   bool calibrating_ = false;
   float observed_max_ = 0.0f;
@@ -272,12 +247,6 @@ class QuantLinear final : public Layer {
 /// Fold every (Conv2d, BatchNorm2d) adjacent pair inside Sequential
 /// containers (recursively). Returns the number of folds performed.
 int fold_batchnorm(Layer& root);
-
-/// Replace every Conv2d / Linear reachable from root with its quantized
-/// counterpart bound directly to `engine`. Returns the number of
-/// replacements. Root itself must be a container.
-int quantize_network(Layer& root, const MvmEngine& engine, int weight_bits = 8,
-                     int act_bits = 8);
 
 /// Run `images` through the network in calibration mode, then finalize
 /// all activation scales.

@@ -8,10 +8,10 @@
 //      ones for the SRAM-CiM macro model,
 //   3. activation-range calibration (pure float math, engine-free).
 // It owns everything requests share: the lowered network, both CiM macro
-// models, the two reentrant MvmEngines, and the packed weight bit-planes
-// (one PackedWeightsCache per engine, populated for every quantized
-// layer at construction — the software analogue of committing the ROM
-// mask at tape-out). It owns NO mutable per-request state — noise keys,
+// models and the two reentrant MvmEngines, each holding the packed weight
+// bit-planes of its layers (populated for every quantized layer at
+// construction — the software analogue of committing the ROM mask at
+// tape-out). It owns NO mutable per-request state — noise keys,
 // run statistics and scratch buffers live in ExecutionContext —
 // so any number of contexts can execute one plan concurrently (the
 // throughput model of mixed ROM+SRAM chips such as YOCO and multi-core
@@ -105,12 +105,6 @@ class DeploymentPlan {
   }
   [[nodiscard]] const CimMacro& rom_macro() const { return rom_macro_; }
   [[nodiscard]] const CimMacro& sram_macro() const { return sram_macro_; }
-  [[nodiscard]] const PackedWeightsCache& rom_packed() const {
-    return rom_packed_;
-  }
-  [[nodiscard]] const PackedWeightsCache& sram_packed() const {
-    return sram_packed_;
-  }
   /// Total resident bytes of packed weight bit-planes (both engines) and
   /// the one-time cost of building them — deploy-time observability for
   /// capacity planning (the packing is derived state: it is rebuilt at
@@ -140,8 +134,6 @@ class DeploymentPlan {
   DeploymentOptions options_;
   CimMacro rom_macro_;
   CimMacro sram_macro_;
-  PackedWeightsCache rom_packed_;
-  PackedWeightsCache sram_packed_;
   MacroMvmEngine rom_engine_;
   MacroMvmEngine sram_engine_;
   LayerPtr model_;

@@ -196,7 +196,7 @@ CanarySuite read_canaries(ByteReader& r) {
 std::uint32_t engine_kind_tag(EngineKind kind, const std::string& name) {
   YOLOC_CHECK(kind == EngineKind::kRom || kind == EngineKind::kSram,
               "plan serde: layer '" + name +
-                  "' is direct-bound (kDefault); only kind-tagged "
+                  "' is untagged (kDefault); only kind-tagged "
                   "deployment lowerings are serializable");
   return static_cast<std::uint32_t>(kind);
 }

@@ -1,7 +1,8 @@
 // Deterministic fault-injection coverage (macro/fault_model.*) and the
 // serving resilience layer built on it (serve/resilience.*): fixed-seed
-// fault patterns replay bit-exactly, the legacy and packed MVM paths
-// stay bit-identical under faults, dormant faults cost nothing and
+// fault patterns replay bit-exactly, the packed MVM path stays
+// bit-identical to the per-call oracle (macro_oracle.hpp) under faults,
+// dormant faults cost nothing and
 // change nothing, plans round-trip fault configs + canary suites
 // (format v2/v3), and the scheduler's canary -> breaker -> shed -> recover
 // pipeline works end to end. `ctest -L fault` selects this suite.
@@ -22,6 +23,7 @@
 
 #include "common/crc32.hpp"
 #include "core/macro_engine.hpp"
+#include "macro_oracle.hpp"
 #include "nn/activations.hpp"
 #include "nn/container.hpp"
 #include "nn/conv2d.hpp"
@@ -78,14 +80,18 @@ std::vector<std::uint8_t> random_acts(int k, int p, std::uint64_t seed) {
   return x;
 }
 
-/// One engine run (legacy or packed) over a fixed workload.
+/// One run over a fixed workload through the deployed engine or, with
+/// `use_oracle`, through the per-call test oracle.
 std::vector<std::int32_t> run_engine(const MacroConfig& cfg,
-                                     MacroMvmEngine::Mode mode, bool packed,
-                                     int m, int k, int p, std::uint64_t seed,
+                                     MacroMvmEngine::Mode mode,
+                                     bool use_oracle, int m, int k, int p,
+                                     std::uint64_t seed,
                                      MacroRunStats* stats_out = nullptr) {
   const CimMacro macro(cfg);
-  PackedWeightsCache cache;
-  const MacroMvmEngine engine(macro, mode, packed ? &cache : nullptr);
+  const MacroMvmEngine packed(macro, mode);
+  const oracle::Engine reference(macro, mode);
+  const MvmEngine& engine =
+      use_oracle ? static_cast<const MvmEngine&>(reference) : packed;
   const auto w = random_weights(m, k, seed);
   const auto x = random_acts(k, p, seed);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
@@ -118,26 +124,27 @@ TEST(FaultModel, SeedRedrawsThePattern) {
   EXPECT_NE(a, b) << "a different fault seed must redraw the fault map";
 }
 
-TEST(FaultModel, LegacyAndPackedPathsIdenticalUnderFaults) {
-  // The determinism contract extends to faults: the packed fast path
-  // must see the SAME stuck cells, drifted columns and transient flips
-  // as the per-call path (fault coordinates are tile-local).
-  // Checked noise-free and under the default read noise.
+TEST(FaultModel, PackedPathMatchesOracleUnderFaults) {
+  // The determinism contract extends to faults: the packed kernel must
+  // see the SAME stuck cells, drifted columns and transient flips as the
+  // per-call oracle, which overlays them on bit-planes it derives itself
+  // (fault coordinates are tile-local). Checked noise-free and under the
+  // default read noise.
   MacroConfig noisy = default_rom_macro();
   noisy.faults = heavy_faults();
   for (const MacroConfig& cfg : {faulted_rom(heavy_faults()), noisy}) {
     for (const int k : {96, 200}) {  // single-tile and multi-tile
-      MacroRunStats stats_legacy, stats_packed;
-      const auto legacy = run_engine(cfg, MacroMvmEngine::Mode::kAnalog,
-                                     false, 6, k, 3, 5, &stats_legacy);
+      MacroRunStats stats_oracle, stats_packed;
+      const auto expected = run_engine(cfg, MacroMvmEngine::Mode::kAnalog,
+                                       true, 6, k, 3, 5, &stats_oracle);
       const auto packed = run_engine(cfg, MacroMvmEngine::Mode::kAnalog,
-                                     true, 6, k, 3, 5, &stats_packed);
-      EXPECT_EQ(legacy, packed) << "k=" << k;
-      EXPECT_EQ(stats_legacy.array.adc_conversions,
+                                     false, 6, k, 3, 5, &stats_packed);
+      EXPECT_EQ(expected, packed) << "k=" << k;
+      EXPECT_EQ(stats_oracle.array.adc_conversions,
                 stats_packed.array.adc_conversions);
-      EXPECT_EQ(stats_legacy.array.adc_energy_pj,
+      EXPECT_EQ(stats_oracle.array.adc_energy_pj,
                 stats_packed.array.adc_energy_pj);
-      EXPECT_EQ(stats_legacy.array.precharge_energy_pj,
+      EXPECT_EQ(stats_oracle.array.precharge_energy_pj,
                 stats_packed.array.precharge_energy_pj);
     }
   }
@@ -159,8 +166,7 @@ TEST(FaultModel, DormantFaultsAreInvisible) {
 TEST(FaultModel, SetActiveTogglesAtRuntime) {
   const CimMacro macro(faulted_rom(heavy_faults()));
   ASSERT_NE(macro.fault_model(), nullptr);
-  PackedWeightsCache cache;
-  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog, &cache);
+  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
   const auto w = random_weights(6, 96, 5);
   const auto x = random_acts(96, 2, 5);
   const auto run = [&] {

@@ -1,7 +1,8 @@
-// Macro-level tests: functional MVM fidelity against exact integer math,
-// cost accounting, the Table I specification summary, and the
-// statistical gate pinning the tabulated read noise to the circuit
-// model.
+// Macro-level tests: functional MVM fidelity of the packed kernels
+// against exact integer math (per tile, and through the exact-cost
+// engine over multi-tile GEMMs), cost accounting, the Table I
+// specification summary, and the statistical gate pinning the tabulated
+// read noise to the circuit model.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "macro/cim_macro.hpp"
+#include "core/macro_engine.hpp"
 #include "macro/macro_spec.hpp"
 
 namespace yoloc {
@@ -38,6 +39,17 @@ std::vector<std::int32_t> exact_mvm(const std::vector<std::int8_t>& w, int m,
   return y;
 }
 
+/// One analog MVM of an (m x k) matrix that fits one tile (k <= rows),
+/// through the packed kernel.
+void tile_mvm(const CimMacro& macro, const std::vector<std::int8_t>& w,
+              int m, int k, const std::vector<std::uint8_t>& x,
+              std::vector<std::int32_t>& y, std::uint64_t noise_key,
+              MacroRunStats& stats) {
+  const PackedRomWeights packed(w.data(), m, k, macro.config().geometry);
+  ASSERT_EQ(packed.tile_count(), 1);
+  macro.mvm_packed(packed, 0, x.data(), y.data(), noise_key, stats);
+}
+
 TEST(CimMacro, NoiseFreeMvmIsNearExact) {
   const CimMacro macro(quiet_rom());
   Rng rng(1);
@@ -50,7 +62,7 @@ TEST(CimMacro, NoiseFreeMvmIsNearExact) {
 
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
-  macro.mvm(w.data(), m, k, x.data(), y.data(), rng(), stats);
+  tile_mvm(macro, w, m, k, x, y, rng(), stats);
   const auto ref = exact_mvm(w, m, k, x);
 
   // rows_per_activation=32 with a 5-bit ADC leaves ~1 count of rounding
@@ -73,7 +85,7 @@ TEST(CimMacro, SmallValuesExactlyReconstructed) {
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 3));
   std::vector<std::int32_t> y(2);
   MacroRunStats stats;
-  macro.mvm(w.data(), 2, k, x.data(), y.data(), rng(), stats);
+  tile_mvm(macro, w, 2, k, x, y, rng(), stats);
   const auto ref = exact_mvm(w, 2, k, x);
   EXPECT_EQ(y[0], ref[0]);
   EXPECT_EQ(y[1], ref[1]);
@@ -100,8 +112,8 @@ TEST(CimMacro, AggressiveGroupingDegradesAccuracy) {
   std::vector<std::int32_t> ya(static_cast<std::size_t>(m));
   MacroRunStats sp;
   MacroRunStats sa;
-  macro_p.mvm(w.data(), m, k, x.data(), yp.data(), rng(), sp);
-  macro_a.mvm(w.data(), m, k, x.data(), ya.data(), rng(), sa);
+  tile_mvm(macro_p, w, m, k, x, yp, rng(), sp);
+  tile_mvm(macro_a, w, m, k, x, ya, rng(), sa);
   const auto ref = exact_mvm(w, m, k, x);
 
   double err_p = 0.0;
@@ -124,7 +136,7 @@ TEST(CimMacro, StatsCountConversions) {
   std::vector<std::uint8_t> x(static_cast<std::size_t>(k), 1);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
-  macro.mvm(w.data(), m, k, x.data(), y.data(), rng(), stats);
+  tile_mvm(macro, w, m, k, x, y, rng(), stats);
   // conversions = m * weight_bits * input_bits * groups = 2*8*8*2.
   EXPECT_EQ(stats.array.adc_conversions, 256u);
   EXPECT_EQ(stats.macro_ops, 1u);
@@ -144,20 +156,91 @@ TEST(CimMacro, ExactCostPathMatchesIntegerMath) {
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
-  macro.mvm_exact_cost(w.data(), m, k, x.data(), y.data(), stats);
+  const PackedRomWeights packed(w.data(), m, k, macro.config().geometry,
+                                /*pack_planes=*/false);
+  macro.mvm_packed_exact_cost(packed, 0, w.data(), x.data(), y.data(), stats);
   EXPECT_EQ(y, exact_mvm(w, m, k, x));
   EXPECT_GT(stats.energy_pj(), 0.0);
 }
 
-TEST(CimMacro, RejectsOversizedReduction) {
+TEST(CimMacro, RejectsForeignPackedTiles) {
+  // A packing built for another geometry, or a tile index outside it,
+  // must throw rather than read past the tile.
   const CimMacro macro(quiet_rom());
-  Rng rng(6);
-  std::vector<std::int8_t> w(200, 0);
-  std::vector<std::uint8_t> x(200, 0);
+  const int k = 200;  // two tiles of 128 rows
+  std::vector<std::int8_t> w(k, 1);
+  std::vector<std::uint8_t> x(k, 1);
   std::vector<std::int32_t> y(1);
   MacroRunStats stats;
-  EXPECT_THROW(macro.mvm(w.data(), 1, 200, x.data(), y.data(), rng(), stats),
+  const PackedRomWeights packed(w.data(), 1, k, macro.config().geometry);
+  ASSERT_EQ(packed.tile_count(), 2);
+  EXPECT_NO_THROW(macro.mvm_packed(packed, 1, x.data(), y.data(), 1, stats));
+  EXPECT_THROW(macro.mvm_packed(packed, 2, x.data(), y.data(), 1, stats),
                std::runtime_error);
+  EXPECT_THROW(macro.mvm_packed_exact_cost(packed, -1, w.data(), x.data(),
+                                           y.data(), stats),
+               std::runtime_error);
+  MacroGeometry other = macro.config().geometry;
+  other.rows_per_activation = 16;
+  const PackedRomWeights foreign(w.data(), 1, k, other);
+  EXPECT_THROW(macro.mvm_packed(foreign, 0, x.data(), y.data(), 1, stats),
+               std::runtime_error);
+}
+
+TEST(ExactCostEngine, MatchesIntegerGemm) {
+  const auto run = [](const CimMacro& macro, const std::vector<std::int8_t>& w,
+                      int m, int k, const std::vector<std::uint8_t>& x,
+                      int p) {
+    const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kExactCost);
+    std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
+    MacroRunStats stats;
+    MvmSession session{nullptr, &stats, nullptr};
+    engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
+    EXPECT_EQ(stats.macs, static_cast<std::uint64_t>(m) * k * p);
+    return y;
+  };
+
+  // Hand-computed: W (3 x 4) times X (4 x 2).
+  {
+    const CimMacro macro(default_rom_macro());
+    const std::vector<std::int8_t> w = {1, -2, 3, -4, 5, 6, -7, 8, 0, 1, 2, 3};
+    const std::vector<std::uint8_t> x = {1, 2, 3, 4, 5, 6, 7, 8};
+    const auto y = run(macro, w, 3, 4, x, 2);
+    EXPECT_EQ(y[0], -18);  // row 0, col 0: 1*1 - 2*3 + 3*5 - 4*7
+    EXPECT_EQ(y[1], -20);  // row 0, col 1: 1*2 - 2*4 + 3*6 - 4*8
+    EXPECT_EQ(y[4], 34);   // row 2, col 0: 0*1 + 1*3 + 2*5 + 3*7
+  }
+
+  // Random GEMMs over one to three row tiles, on both macro kinds.
+  Rng rng(10);
+  for (const MacroConfig& cfg : {default_rom_macro(), default_sram_macro()}) {
+    const CimMacro macro(cfg);
+    const int rows = cfg.geometry.rows;
+    for (int tiles = 1; tiles <= 3; ++tiles) {
+      const int m = rng.uniform_int(1, 40);
+      const int k = rng.uniform_int((tiles - 1) * rows + 1, tiles * rows);
+      const int p = rng.uniform_int(2, 6);
+      std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
+      std::vector<std::uint8_t> x(static_cast<std::size_t>(k) * p);
+      for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+      for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      const auto y = run(macro, w, m, k, x, p);
+      for (int col = 0; col < p; ++col) {
+        std::vector<std::uint8_t> xc(static_cast<std::size_t>(k));
+        for (int i = 0; i < k; ++i) {
+          xc[static_cast<std::size_t>(i)] =
+              x[static_cast<std::size_t>(i) * p + col];
+        }
+        const auto ref = exact_mvm(w, m, k, xc);
+        for (int j = 0; j < m; ++j) {
+          ASSERT_EQ(y[static_cast<std::size_t>(j) * p + col],
+                    ref[static_cast<std::size_t>(j)])
+              << "rows " << rows << " m " << m << " k " << k << " p " << p
+              << " row " << j << " col " << col;
+        }
+      }
+    }
+  }
 }
 
 TEST(CimMacro, RejectsOperandWidthsBeyondRowMaskPlanes) {

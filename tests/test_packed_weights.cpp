@@ -1,12 +1,14 @@
-// Packed-weights fast path coverage: the deploy-time bit-plane packing
+// Packed-weights coverage: the deploy-time bit-plane packing
 // (macro/packed_weights.*) and the packed CimMacro/MacroMvmEngine MVM
-// must be BIT-IDENTICAL to the legacy per-call path — same outputs, same
-// energy/latency stats under the same noise keys — across analog (noisy
-// and noise-free), exact-cost, odd reduction sizes and multi-tile shapes.
-// `ctest -L macro` selects this suite.
+// must be BIT-IDENTICAL to the per-call oracle (macro_oracle.hpp) — same
+// outputs, same energy/latency stats under the same noise keys — across
+// analog (noisy and noise-free), exact-cost, odd reduction sizes,
+// multi-tile shapes and both analog kernels. `ctest -L macro` selects
+// this suite.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "core/macro_engine.hpp"
+#include "macro_oracle.hpp"
 
 namespace yoloc {
 namespace {
@@ -54,37 +57,36 @@ void expect_stats_identical(const MacroRunStats& a, const MacroRunStats& b) {
   EXPECT_EQ(a.latency_ns, b.latency_ns);
 }
 
-/// Drives both engine paths with identically seeded sessions and checks
-/// outputs + stats match exactly.
+/// Drives the engine and the oracle engine with identically seeded
+/// sessions and checks outputs + stats match exactly.
 void expect_paths_identical(const MacroConfig& cfg,
                             MacroMvmEngine::Mode mode, int m, int k, int p,
                             std::uint64_t seed) {
   const CimMacro macro(cfg);
-  PackedWeightsCache cache;
-  const MacroMvmEngine legacy(macro, mode);
-  const MacroMvmEngine packed(macro, mode, &cache);
+  const oracle::Engine reference(macro, mode);
+  const MacroMvmEngine packed(macro, mode);
   const auto w = random_weights(m, k, seed);
   const auto x = random_acts(k, p, seed);
 
-  std::vector<std::int32_t> y_legacy(static_cast<std::size_t>(m) * p);
+  std::vector<std::int32_t> y_oracle(static_cast<std::size_t>(m) * p);
   std::vector<std::int32_t> y_packed(static_cast<std::size_t>(m) * p);
-  NoiseKeys keys_legacy;
-  keys_legacy.images = {image_noise_key(seed, 0)};
-  NoiseKeys keys_packed = keys_legacy;
-  MacroRunStats stats_legacy, stats_packed;
-  MvmScratch scratch_legacy, scratch_packed;
-  MvmSession legacy_session{&keys_legacy, &stats_legacy, &scratch_legacy};
+  NoiseKeys keys_oracle;
+  keys_oracle.images = {image_noise_key(seed, 0)};
+  NoiseKeys keys_packed = keys_oracle;
+  MacroRunStats stats_oracle, stats_packed;
+  MvmScratch scratch_packed;
+  MvmSession oracle_session{&keys_oracle, &stats_oracle, nullptr};
   MvmSession packed_session{&keys_packed, &stats_packed, &scratch_packed};
 
   // Two back-to-back calls so the second runs at the next layer ordinal
   // and from non-zero stats (the accumulation-order contract).
   for (int call = 0; call < 2; ++call) {
-    legacy.mvm_batch(w.data(), m, k, x.data(), p, y_legacy.data(),
-                     legacy_session);
+    reference.mvm_batch(w.data(), m, k, x.data(), p, y_oracle.data(),
+                        oracle_session);
     packed.mvm_batch(w.data(), m, k, x.data(), p, y_packed.data(),
                      packed_session);
-    EXPECT_EQ(y_legacy, y_packed) << "call " << call;
-    expect_stats_identical(stats_legacy, stats_packed);
+    EXPECT_EQ(y_oracle, y_packed) << "call " << call;
+    expect_stats_identical(stats_oracle, stats_packed);
   }
 }
 
@@ -236,8 +238,7 @@ TEST(PackedMvm, AnalogBitIdenticalMultiTile) {
 
 TEST(PackedMvm, AnalogBitIdenticalNoiseFree) {
   // sigma_cell = 0 and ADC noise = 0: every read takes the ideal code of
-  // its count; outputs and stats must still match the legacy path
-  // exactly.
+  // its count; outputs and stats must still match the oracle exactly.
   expect_paths_identical(noise_free_rom(), MacroMvmEngine::Mode::kAnalog,
                          /*m=*/24, /*k=*/128, /*p=*/5, /*seed=*/105);
   expect_paths_identical(noise_free_rom(), MacroMvmEngine::Mode::kAnalog,
@@ -263,52 +264,71 @@ TEST(PackedMvm, ExactCostBitIdentical) {
 
 TEST(PackedMvm, ExactCostBitIdenticalNarrowWeightBits) {
   // weight_bits = 4 with full-range int8 weights: the exact path must
-  // still reconstruct the full int8 product (all 8 planes are packed),
-  // exactly like the legacy integer MAC.
+  // still reconstruct the full int8 product, exactly like the oracle's
+  // integer MAC.
   MacroConfig cfg = default_rom_macro();
   cfg.geometry.weight_bits = 4;
   expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,
                          /*m=*/8, /*k=*/128, /*p=*/4, /*seed=*/110);
 }
 
-/// Runs every tile of one packed (m x k) matrix through two macros'
-/// mvm_packed over `columns` activation vectors, one noise key each, and
-/// checks outputs and accumulated stats match exactly after every call.
-void expect_kernels_identical(const CimMacro& a, const CimMacro& b, int m,
-                              int k, int columns, std::uint64_t seed,
-                              const std::string& what) {
+/// Runs every tile of one packed (m x k) matrix through mvm_packed on
+/// the scalar kernel and, where this host runs it, the AVX-512 kernel,
+/// over `columns` activation vectors with one noise key each, and runs
+/// the oracle on the same tile chunk and key. Outputs and accumulated
+/// stats must match exactly after every call.
+void expect_kernels_match_oracle(const MacroConfig& cfg, int m, int k,
+                                 int columns, std::uint64_t seed,
+                                 const std::string& what) {
   const auto w = random_weights(m, k, seed);
   const auto x = random_acts(k, columns, seed);
-  const PackedRomWeights packed(w.data(), m, k, a.config().geometry);
-  MacroRunStats stats_a, stats_b;
-  std::vector<std::int32_t> y_a(static_cast<std::size_t>(m));
-  std::vector<std::int32_t> y_b(static_cast<std::size_t>(m));
+  const PackedRomWeights packed(w.data(), m, k, cfg.geometry);
+  const CimMacro scalar(cfg, AnalogKernel::kScalar);
+  const bool vector_kernel = best_analog_kernel() == AnalogKernel::kAvx512;
+  const CimMacro vector(cfg, vector_kernel ? AnalogKernel::kAvx512
+                                           : AnalogKernel::kScalar);
+  MacroRunStats stats_oracle, stats_scalar, stats_vector;
+  std::vector<std::int32_t> y_oracle(static_cast<std::size_t>(m));
+  std::vector<std::int32_t> y_scalar(static_cast<std::size_t>(m));
+  std::vector<std::int32_t> y_vector(static_cast<std::size_t>(m));
   Rng keys(seed ^ 0xC0FFEE);
   for (int tile = 0; tile < packed.tile_count(); ++tile) {
     const auto& t = packed.tile(tile);
+    std::vector<std::int8_t> chunk(static_cast<std::size_t>(m) * t.k_size);
+    for (int j = 0; j < m; ++j) {
+      std::copy_n(w.begin() + static_cast<std::ptrdiff_t>(j) * k + t.k0,
+                  t.k_size,
+                  chunk.begin() + static_cast<std::ptrdiff_t>(j) * t.k_size);
+    }
     for (int col = 0; col < columns; ++col) {
       const std::uint8_t* xt =
           x.data() + static_cast<std::size_t>(col) * k + t.k0;
       const std::uint64_t key = keys();
-      a.mvm_packed(packed, tile, xt, y_a.data(), key, stats_a);
-      b.mvm_packed(packed, tile, xt, y_b.data(), key, stats_b);
-      ASSERT_EQ(y_a, y_b) << what << " tile " << tile << " column " << col;
-      expect_stats_identical(stats_a, stats_b);
+      oracle::mvm(scalar, chunk.data(), m, t.k_size, xt, y_oracle.data(), key,
+                  stats_oracle);
+      scalar.mvm_packed(packed, tile, xt, y_scalar.data(), key, stats_scalar);
+      ASSERT_EQ(y_oracle, y_scalar)
+          << what << " scalar vs oracle, tile " << tile << " column " << col;
+      expect_stats_identical(stats_oracle, stats_scalar);
+      if (!vector_kernel) continue;
+      vector.mvm_packed(packed, tile, xt, y_vector.data(), key, stats_vector);
+      ASSERT_EQ(y_scalar, y_vector)
+          << what << " avx512 vs scalar, tile " << tile << " column " << col;
+      expect_stats_identical(stats_scalar, stats_vector);
     }
   }
 }
 
-TEST(AnalogKernels, Avx512MatchesScalarOverRandomGeometries) {
-  if (best_analog_kernel() != AnalogKernel::kAvx512) {
-    GTEST_SKIP() << "no AVX-512 F/BW/DQ/VL on this host (or a TSAN build)";
-  }
+TEST(AnalogKernels, MatchTheOracleOverRandomGeometries) {
   const int rows_options[] = {32, 64, 128};
   // 4 is the one group size here not made of whole bytes: it takes the
-  // vector kernel's bit-mask count.
-  const int group_options[] = {4, 8, 16, 32};
+  // vector kernel's bit-mask count. 64 and 128 are the ablation bench's
+  // wide groups (counts past 16 take the vector kernel's gathers).
+  const int group_options[] = {4, 8, 16, 32, 64, 128};
+  const double sigma_options[] = {0.0, 0.02, 0.05, 0.1, 0.2};
   const int m_options[] = {1, 7, 8, 9, 17};
   Rng rng(2026);
-  for (int trial = 0; trial < 90; ++trial) {
+  for (int trial = 0; trial < 120; ++trial) {
     // ROM default noise, SRAM default noise and a noise-free ROM, in turn.
     MacroConfig cfg = trial % 3 == 1 ? default_sram_macro()
                       : trial % 3 == 2 ? noise_free_rom()
@@ -317,7 +337,19 @@ TEST(AnalogKernels, Avx512MatchesScalarOverRandomGeometries) {
     g.input_bits = rng.uniform_int(1, 8);
     g.weight_bits = rng.uniform_int(1, 8);
     g.rows = rows_options[rng.uniform_int(0, 2)];
-    g.rows_per_activation = group_options[rng.uniform_int(0, 3)];
+    do {
+      g.rows_per_activation = group_options[rng.uniform_int(0, 5)];
+    } while (g.rows_per_activation > g.rows);
+    if (g.rows_per_activation > 32) {
+      // Keep the full-group discharge within the bitline range, as the
+      // ablation bench does.
+      cfg.bitline.i_cell_ua *= 32.0 / g.rows_per_activation;
+    }
+    // The Table I / ablation sweeps: ADC resolution 3-7 bits and cell
+    // mismatch up to 0.2 (noisy trials only).
+    g.adc_bits = rng.uniform_int(3, 7);
+    cfg.adc.bits = g.adc_bits;
+    if (trial % 3 != 2) cfg.bitline.sigma_cell = sigma_options[trial % 5];
     const int m = m_options[rng.uniform_int(0, 4)];
     // One k in four is below one activation group, one in four sits at
     // the edge of the 64-row lane or the tile; the rest span one to three
@@ -327,15 +359,19 @@ TEST(AnalogKernels, Avx512MatchesScalarOverRandomGeometries) {
     const int k = pick == 0   ? rng.uniform_int(1, g.rows_per_activation - 1)
                   : pick == 1 ? edges[rng.uniform_int(0, 5)]
                               : rng.uniform_int(1, 3 * g.rows);
-    const CimMacro scalar(cfg, AnalogKernel::kScalar);
-    const CimMacro vector(cfg, AnalogKernel::kAvx512);
     std::ostringstream what;
     what << "trial " << trial << " (ib " << g.input_bits << ", wb "
          << g.weight_bits << ", rows " << g.rows << ", group "
-         << g.rows_per_activation << ", m " << m << ", k " << k << ")";
-    expect_kernels_identical(scalar, vector, m, k, /*columns=*/3,
-                             /*seed=*/1000 + trial, what.str());
+         << g.rows_per_activation << ", adc " << g.adc_bits << ", sigma "
+         << cfg.bitline.sigma_cell << ", m " << m << ", k " << k << ")";
+    expect_kernels_match_oracle(cfg, m, k, /*columns=*/3,
+                                /*seed=*/1000 + trial, what.str());
     if (HasFatalFailure()) return;
+  }
+  if (best_analog_kernel() != AnalogKernel::kAvx512) {
+    GTEST_SKIP() << "scalar kernel matched the oracle; no AVX-512 "
+                    "F/BW/DQ/VL on this host (or a TSAN build), so the "
+                    "vector kernel was not checked";
   }
 }
 
@@ -439,8 +475,7 @@ TEST(NoiseKeys, ColumnsSplitOverImagesInOrder) {
   // One call over two images equals two one-image calls: column col is
   // pixel col % pixels of image col / pixels.
   const CimMacro macro(default_rom_macro());
-  PackedWeightsCache cache;
-  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog, &cache);
+  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
   const int m = 8;
   const int k = 100;
   const int pixels = 3;

@@ -1,6 +1,7 @@
 // Network lowering tests: BatchNorm folding exactness, int8 quantized
-// inference fidelity against the float reference (exact integer engine),
-// and the calibration workflow.
+// inference fidelity against the float reference (through an exact-cost
+// DeploymentPlan, whose integer products are exact), and the calibration
+// workflow.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/quantize.hpp"
+#include "runtime/deployment_plan.hpp"
+#include "runtime/execution_context.hpp"
 #include "tensor/ops.hpp"
 
 namespace yoloc {
@@ -28,6 +31,21 @@ LayerPtr small_convnet(Rng& rng, bool with_bn) {
   net->add(std::make_unique<GlobalAvgPool>());
   net->add(std::make_unique<Linear>(4, 3, true, rng, "fc"));
   return net;
+}
+
+/// Folds, lowers and calibrates `net` on `calibration` into an
+/// exact-cost plan: integer products exact, costs modeled.
+std::unique_ptr<DeploymentPlan> exact_cost_plan(LayerPtr net,
+                                                const Tensor& calibration) {
+  DeploymentOptions options;
+  options.mode = MacroMvmEngine::Mode::kExactCost;
+  return std::make_unique<DeploymentPlan>(std::move(net), calibration,
+                                          std::move(options));
+}
+
+Tensor run_plan(const DeploymentPlan& plan, const Tensor& x) {
+  ExecutionContext ctx(plan, /*noise_seed=*/1);
+  return ctx.infer(x);
 }
 
 TEST(BnFold, EvalOutputUnchanged) {
@@ -60,39 +78,46 @@ TEST(BnFold, NoOpWithoutBn) {
   EXPECT_EQ(fold_batchnorm(*net), 0);
 }
 
-TEST(ExactEngine, MatchesIntegerReference) {
-  ExactMvmEngine engine;
-  const int m = 3, k = 4, p = 2;
-  const std::int8_t w[m * k] = {1, -2, 3, -4, 5, 6, -7, 8, 0, 1, 2, 3};
-  const std::uint8_t x[k * p] = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::int32_t y[m * p];
-  engine.mvm_batch(w, m, k, x, p, y);
-  // Row 0, col 0: 1*1 - 2*3 + 3*5 - 4*7 = -18.
-  EXPECT_EQ(y[0], -18);
-  // Row 0, col 1: 1*2 - 2*4 + 3*6 - 4*8 = -20.
-  EXPECT_EQ(y[1], -20);
-  // Row 2, col 0: 0*1 + 1*3 + 2*5 + 3*7 = 34.
-  EXPECT_EQ(y[4], 34);
-}
-
-TEST(QuantizeNetwork, ReplacesConvAndLinear) {
+TEST(Lowering, ReplacesConvAndLinear) {
   Rng rng(4);
   LayerPtr net = small_convnet(rng, /*with_bn=*/false);
-  ExactMvmEngine engine;
-  const int replaced = quantize_network(*net, engine);
-  EXPECT_EQ(replaced, 3);  // two convs + one linear
+  const Tensor calib = Tensor::rand_uniform({4, 2, 6, 6}, rng, 0.0f, 1.0f);
+  const auto plan = exact_cost_plan(std::move(net), calib);
+  EXPECT_EQ(plan->quantized_layer_count(), 3);  // two convs + one linear
 }
 
-TEST(QuantizeNetwork, DeployBeforeCalibrationThrows) {
+TEST(Lowering, DeployBeforeCalibrationThrows) {
   Rng rng(5);
-  LayerPtr net = small_convnet(rng, /*with_bn=*/false);
-  ExactMvmEngine engine;
-  quantize_network(*net, engine);
+  Conv2d conv(2, 4, 3, 1, 1, true, rng, "c");
+  Linear lin(4, 3, true, rng, "fc");
+  QuantConv2d qconv(conv, EngineKind::kRom);
+  QuantLinear qlin(lin, EngineKind::kSram);
+  // Both kinds bound to a working engine, so only the missing
+  // calibration can make a forward pass throw.
+  const CimMacro macro(default_rom_macro());
+  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kExactCost);
+  MacroRunStats stats;
+  MvmBinding binding;
+  binding.slot(EngineKind::kRom) = {&engine, {nullptr, &stats, nullptr}};
+  binding.slot(EngineKind::kSram) = binding.slot(EngineKind::kRom);
+  MvmBinding::Scope scope(binding);
+
   Tensor x = Tensor::rand_uniform({1, 2, 6, 6}, rng, 0.0f, 1.0f);
-  EXPECT_THROW(net->forward(x, false), std::runtime_error);
+  Tensor v = Tensor::rand_uniform({1, 4}, rng, 0.0f, 1.0f);
+  EXPECT_THROW(qconv.forward(x, false), std::runtime_error);
+  EXPECT_THROW(qlin.forward(v, false), std::runtime_error);
+
+  qconv.set_calibration_mode(true);
+  qlin.set_calibration_mode(true);
+  (void)qconv.forward(x, false);
+  (void)qlin.forward(v, false);
+  qconv.finalize_calibration();
+  qlin.finalize_calibration();
+  EXPECT_NO_THROW(qconv.forward(x, false));
+  EXPECT_NO_THROW(qlin.forward(v, false));
 }
 
-TEST(QuantizeNetwork, QuantizedCloseToFloatReference) {
+TEST(Lowering, QuantizedCloseToFloatReference) {
   Rng rng(6);
   LayerPtr net = small_convnet(rng, /*with_bn=*/true);
   Tensor warm = Tensor::rand_uniform({8, 2, 6, 6}, rng, 0.0f, 1.0f);
@@ -101,18 +126,15 @@ TEST(QuantizeNetwork, QuantizedCloseToFloatReference) {
   Tensor x = Tensor::rand_uniform({4, 2, 6, 6}, rng, 0.0f, 1.0f);
   Tensor reference = net->forward(x, false);
 
-  fold_batchnorm(*net);
-  ExactMvmEngine engine;
-  quantize_network(*net, engine);
-  calibrate_quantized(*net, warm);
-  Tensor quantized = net->forward(x, false);
+  const auto plan = exact_cost_plan(std::move(net), warm);
+  Tensor quantized = run_plan(*plan, x);
 
   // int8 weights + uint8 activations: a few percent of the output range.
   const float ref_range = reference.max_abs();
   EXPECT_LT(max_abs_diff(reference, quantized), 0.08f * ref_range + 0.05f);
 }
 
-TEST(QuantizeNetwork, ArgmaxAgreementOnRandomInputs) {
+TEST(Lowering, ArgmaxAgreementOnRandomInputs) {
   Rng rng(7);
   LayerPtr net = small_convnet(rng, /*with_bn=*/true);
   Tensor warm = Tensor::rand_uniform({16, 2, 6, 6}, rng, 0.0f, 1.0f);
@@ -121,11 +143,8 @@ TEST(QuantizeNetwork, ArgmaxAgreementOnRandomInputs) {
   Tensor x = Tensor::rand_uniform({32, 2, 6, 6}, rng, 0.0f, 1.0f);
   const auto ref_pred = argmax_rows(net->forward(x, false));
 
-  fold_batchnorm(*net);
-  ExactMvmEngine engine;
-  quantize_network(*net, engine);
-  calibrate_quantized(*net, warm);
-  const auto q_pred = argmax_rows(net->forward(x, false));
+  const auto plan = exact_cost_plan(std::move(net), warm);
+  const auto q_pred = argmax_rows(run_plan(*plan, x));
 
   int agree = 0;
   for (std::size_t i = 0; i < ref_pred.size(); ++i) {
@@ -137,8 +156,7 @@ TEST(QuantizeNetwork, ArgmaxAgreementOnRandomInputs) {
 TEST(QuantLayers, BackwardThrows) {
   Rng rng(8);
   Conv2d conv(1, 1, 1, 1, 0, false, rng, "c");
-  ExactMvmEngine engine;
-  QuantConv2d qconv(conv, engine);
+  QuantConv2d qconv(conv, EngineKind::kRom);
   Tensor g({1, 1, 2, 2});
   EXPECT_THROW(qconv.backward(g), std::runtime_error);
 }
@@ -146,8 +164,7 @@ TEST(QuantLayers, BackwardThrows) {
 TEST(QuantLayers, CalibrationRecordsScale) {
   Rng rng(9);
   Conv2d conv(1, 2, 3, 1, 1, false, rng, "c");
-  ExactMvmEngine engine;
-  QuantConv2d qconv(conv, engine);
+  QuantConv2d qconv(conv, EngineKind::kRom);
   EXPECT_FALSE(qconv.is_calibrated());
   qconv.set_calibration_mode(true);
   Tensor x = Tensor::rand_uniform({2, 1, 4, 4}, rng, 0.0f, 2.0f);

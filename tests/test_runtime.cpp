@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "macro_oracle.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/container.hpp"
@@ -182,28 +183,28 @@ TEST(Runtime, ScratchReuseIsDeterministic) {
   EXPECT_TRUE(bit_identical(first, second));
 }
 
-TEST(Runtime, PackedPlanMatchesLegacyEnginesAcrossResidency) {
-  // The plan executes through cache-backed (packed) engines. Re-running
-  // the same lowered graph through cache-free engines — the pre-packing
-  // legacy path — with identically keyed noise must produce
+TEST(Runtime, PackedPlanMatchesOracleEnginesAcrossResidency) {
+  // The plan executes through its packed engines. Re-running the same
+  // lowered graph through the per-call oracle engines
+  // (macro_oracle.hpp) with identically keyed noise must produce
   // bit-identical outputs and stats, across mixed ROM/SRAM residency.
   for (const auto mode :
        {MacroMvmEngine::Mode::kAnalog, MacroMvmEngine::Mode::kExactCost}) {
     auto plan = make_plan(mode);
     EXPECT_GT(plan->packed_weight_bytes(), 0u);
-    EXPECT_GT(plan->rom_packed().entries(), 0u);   // b.c1 / b.c2
-    EXPECT_GT(plan->sram_packed().entries(), 0u);  // head.fc
+    EXPECT_GT(plan->rom_engine().packed_cache().entries(), 0u);   // b.c*
+    EXPECT_GT(plan->sram_engine().packed_cache().entries(), 0u);  // head.fc
     const auto xs = make_requests(1);
 
     const std::uint64_t seed = 7777;
     ExecutionContext ctx(*plan, seed);
     const Tensor via_packed = ctx.infer(xs[0]);
 
-    // Legacy engines over the same macros, no packed cache; noise keyed
-    // exactly like ExecutionContext wires it (one key set shared by both
-    // engines, which hash their macro kind in).
-    const MacroMvmEngine legacy_rom(plan->rom_macro(), mode);
-    const MacroMvmEngine legacy_sram(plan->sram_macro(), mode);
+    // Oracle engines over the same macros; noise keyed exactly like
+    // ExecutionContext wires it (one key set shared by both engines,
+    // which hash their macro kind in).
+    const oracle::Engine oracle_rom(plan->rom_macro(), mode);
+    const oracle::Engine oracle_sram(plan->sram_macro(), mode);
     NoiseKeys keys;
     for (int i = 0; i < xs[0].shape()[0]; ++i) {
       keys.images.push_back(image_noise_key(seed, i));
@@ -211,17 +212,17 @@ TEST(Runtime, PackedPlanMatchesLegacyEnginesAcrossResidency) {
     MacroRunStats rom_stats, sram_stats;
     MvmScratch scratch;
     MvmBinding binding;
-    binding.slot(EngineKind::kRom) = {&legacy_rom,
+    binding.slot(EngineKind::kRom) = {&oracle_rom,
                                       {&keys, &rom_stats, &scratch}};
-    binding.slot(EngineKind::kSram) = {&legacy_sram,
+    binding.slot(EngineKind::kSram) = {&oracle_sram,
                                        {&keys, &sram_stats, &scratch}};
-    Tensor via_legacy;
+    Tensor via_oracle;
     {
       MvmBinding::Scope scope(binding);
-      via_legacy = plan->model().forward(xs[0], /*train=*/false);
+      via_oracle = plan->model().forward(xs[0], /*train=*/false);
     }
 
-    EXPECT_TRUE(bit_identical(via_packed, via_legacy));
+    EXPECT_TRUE(bit_identical(via_packed, via_oracle));
     expect_stats_identical(ctx.rom_stats(), rom_stats);
     expect_stats_identical(ctx.sram_stats(), sram_stats);
   }

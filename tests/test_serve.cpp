@@ -15,6 +15,7 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <map>
 #include <sstream>
@@ -154,6 +155,45 @@ struct HangOnce {
     // Give the released thread a beat to finish unwinding out of the
     // hook call frame before the closure's owner is destroyed.
     std::this_thread::sleep_for(milliseconds(5));
+  }
+};
+
+/// Holds the single worker of a Scheduler at chosen batch picks: pick n
+/// (0-based, in hook order) waits in the TEST-ONLY fault hook until the
+/// test lets it go. While pick n is held, every batch picked before it
+/// has run and fulfilled its futures and no later batch has started, so
+/// tests can read the service order off future readiness with no
+/// wall-clock slack.
+struct PickGate {
+  std::mutex m;
+  std::condition_variable cv;
+  int picked = 0;   // picks that have entered the hook
+  int allowed = 0;  // picks [0, allowed) may leave it
+
+  std::function<void(int)> hook() {
+    return [this](int) {
+      std::unique_lock lock(m);
+      const int pick = picked++;
+      cv.notify_all();
+      cv.wait(lock, [this, pick] { return pick < allowed; });
+    };
+  }
+  /// Lets picks before `n` run, then waits until pick n is held. False
+  /// if it is not reached within 30 s.
+  bool hold_at(int n) {
+    std::unique_lock lock(m);
+    allowed = n;
+    cv.notify_all();
+    return cv.wait_for(lock, std::chrono::seconds(30),
+                       [this, n] { return picked > n; });
+  }
+  /// Lets every pick, present and future, run.
+  void release_all() {
+    {
+      std::lock_guard lock(m);
+      allowed = std::numeric_limits<int>::max();
+    }
+    cv.notify_all();
   }
 };
 
@@ -898,24 +938,26 @@ TEST(SchedulerWeighted, BestEffortBoundedUnderInteractiveFlood) {
   options.workers = 1;
   options.max_microbatch = 1;
   options.lane_weights = {4.0, 2.0, 1.0};
-  HangOnce hang;
-  options.worker_fault_hook = hang.hook();
+  PickGate gate;
+  options.worker_fault_hook = gate.hook();
   Scheduler scheduler(*plan, options);
 
-  // Occupy the single worker, then queue an interactive flood AND two
-  // best-effort requests. Under strict priority the flood would starve
-  // them until it fully drains; under DWRR each best-effort request is
-  // served within one rotation. Flood requests carry 4 images of 16x16
-  // so the backlog still holds many ms of work when we sample below — the
-  // assertions tolerate a descheduled test thread.
-  auto blocker = scheduler.submit(make_blocker_input(),
-                                  {Priority::kInteractive, milliseconds(0)});
-  hang.wait_hung();
+  // Hold the single worker on the blocker, then queue an interactive
+  // flood AND two best-effort requests. Under strict priority the flood
+  // would starve them until it fully drains; under DWRR each best-effort
+  // request is served within one rotation.
+  std::vector<std::shared_future<Tensor>> served_order;
+  served_order.push_back(
+      scheduler
+          .submit(make_blocker_input(),
+                  {Priority::kInteractive, milliseconds(0)})
+          .share());
+  ASSERT_TRUE(gate.hold_at(0));
   std::vector<std::shared_future<Tensor>> flood;
   for (int i = 0; i < 20; ++i) {
     flood.push_back(
         scheduler
-            .submit(make_input(600 + static_cast<unsigned>(i), {4, 3, 16, 16}),
+            .submit(make_input(600 + static_cast<unsigned>(i), {4, 3, 8, 8}),
                     {Priority::kInteractive, milliseconds(0)})
             .share());
   }
@@ -927,30 +969,36 @@ TEST(SchedulerWeighted, BestEffortBoundedUnderInteractiveFlood) {
                     {Priority::kBestEffort, milliseconds(0)})
             .share());
   }
-  hang.release_and_wait_exit();
 
-  // Weights {4, _, 1} in image units with 4-image flood requests means
-  // one flood request per rotation: both best-effort singles are served
-  // within the first ~3 services after the blocker, leaving >= 17 flood
-  // requests still queued when this returns.
-  best_effort[1].wait();
-  EXPECT_EQ(flood[19].wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout)
-      << "best-effort should be served while the flood is still backlogged";
-  int flood_done = 0;
-  for (const auto& f : flood) {
-    flood_done += f.wait_for(std::chrono::seconds(0)) ==
-                          std::future_status::ready
-                      ? 1
-                      : 0;
+  // Weights {4, _, 1} in image units with 4-image flood requests: the
+  // blocker spent the interactive lane's credit, so the first rotation
+  // reaches best-effort first, and each later rotation serves one flood
+  // request then one best-effort single until both are done.
+  served_order.push_back(best_effort[0]);
+  served_order.push_back(flood[0]);
+  served_order.push_back(best_effort[1]);
+  for (int i = 1; i < 20; ++i) served_order.push_back(flood[i]);
+
+  // Step the worker one batch at a time: while pick n is held, exactly
+  // the first n requests of the order have been served.
+  const int total = static_cast<int>(served_order.size());
+  for (int n = 1; n < total; ++n) {
+    if (!gate.hold_at(n)) {
+      ADD_FAILURE() << "the worker never reached pick " << n;
+      break;
+    }
+    for (int i = 0; i < total; ++i) {
+      const bool ready =
+          served_order[static_cast<std::size_t>(i)].wait_for(
+              std::chrono::seconds(0)) == std::future_status::ready;
+      EXPECT_EQ(ready, i < n) << "request " << i << " of the expected "
+                              << "service order, at pick " << n;
+    }
+    if (HasFailure()) break;
   }
-  // ~3 flood requests precede the 2nd best-effort service; tolerate the
-  // worker draining several more while this thread is descheduled.
-  EXPECT_LE(flood_done, 10);
+  gate.release_all();
 
-  for (auto& f : flood) (void)f.get();
-  for (auto& f : best_effort) (void)f.get();
-  (void)blocker.get();
+  for (auto& f : served_order) (void)f.get();
   scheduler.wait_idle();
   const MetricsSnapshot snap = scheduler.metrics_snapshot();
   EXPECT_EQ(snap.served_requests, 23u);

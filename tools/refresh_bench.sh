@@ -19,9 +19,10 @@
 # admission queue (429s expected — exercising the shed path).
 #
 # Snapshots are a perf *trajectory*, not a CI gate: absolute numbers move
-# with the host, but the within-file ratios (packed-vs-legacy speedup,
-# worker scaling) are the signal. Each bench self-checks bit-identity
-# before timing, so a refresh also re-verifies the packed kernel.
+# with the host, but the within-file ratios (the AVX-512 kernel's
+# speedup_vs_scalar, worker scaling) are the signal. Each bench
+# self-checks bit-identity before timing, so a refresh also re-verifies
+# the AVX-512 kernel against the scalar one.
 
 set -euo pipefail
 

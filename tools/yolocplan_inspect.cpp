@@ -217,17 +217,18 @@ int run(const std::string& path, bool dump_graph, bool dump_packed) {
       if (dump_packed) {
         // deserialize_plan prepacks eagerly, so these caches are the
         // deploy-time resident footprint, not a lazily filled subset.
+        const PackedWeightsCache& rom = plan->rom_engine().packed_cache();
+        const PackedWeightsCache& sram = plan->sram_engine().packed_cache();
         std::printf(
             "\npacked weight bit-planes:\n"
             "  total    %llu B resident, packed in %.3f ms\n"
             "  rom      %zu entries, %llu B\n"
             "  sram     %zu entries, %llu B\n",
             static_cast<unsigned long long>(plan->packed_weight_bytes()),
-            plan->pack_ms(), plan->rom_packed().entries(),
-            static_cast<unsigned long long>(plan->rom_packed().packed_bytes()),
-            plan->sram_packed().entries(),
-            static_cast<unsigned long long>(
-                plan->sram_packed().packed_bytes()));
+            plan->pack_ms(), rom.entries(),
+            static_cast<unsigned long long>(rom.packed_bytes()),
+            sram.entries(),
+            static_cast<unsigned long long>(sram.packed_bytes()));
       }
       if (dump_graph) {
         std::printf("\nlowered layer graph:\n");
